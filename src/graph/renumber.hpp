@@ -19,9 +19,8 @@
 // A Renumbering is a bijection between the caller's original ("external")
 // IDs and the relabeled ("internal") IDs. Everything outside the
 // traversal hot path — certificates, checkpoints, routes, query answers
-// — stays in external IDs; the serving plane translates at its boundary
-// (see serve/query_engine.hpp). tests/test_renumber.cpp pins the
-// end-to-end isomorphism.
+// — stays in external IDs; the serving plane does not renumber.
+// tests/test_renumber.cpp pins the isomorphism.
 
 #include <cstdint>
 #include <vector>

@@ -37,7 +37,7 @@ enum class FlightEventKind : std::uint8_t {
   kEpochAdopt,    ///< query engine adopted an epoch; a = epoch, b = rows dropped
   kLadder,        ///< supervisor ladder transition; a = from, b = to
   kShed,          ///< queries shed; detail = reason, a = count, b = epoch
-                  ///< (degraded) or dispatcher shard id (deadline)
+                  ///< (degraded) or 1-based dispatcher id (deadline)
   kRepair,        ///< repair/rebuild outcome; a = repaired, b = debt left
   kCheckFail,     ///< DCS_CHECK_ABORT / armed failure hook fired
   kInvariant,     ///< soak invariant violated; detail = invariant, a = wave

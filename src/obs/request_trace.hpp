@@ -48,9 +48,9 @@ struct RequestExemplar {
   std::uint64_t epoch = 0;     ///< snapshot epoch the answer was pinned to
   std::uint32_t kind = 0;      ///< serve::QueryKind numeric value
   std::uint32_t outcome = 0;   ///< serve::QueryOutcome numeric value
-  std::uint32_t dispatcher = 0;  ///< dispatcher shard that executed the
-                                 ///< batch (1-based); 0 = synchronous path
-                                 ///< or shed before reaching a dispatcher
+  std::uint32_t dispatcher = 0;  ///< dispatcher that executed the batch
+                                 ///< (1-based); 0 = synchronous path or
+                                 ///< shed before reaching a dispatcher
   bool cache_hit = false;      ///< answered from the distance-row cache
   double start_us = 0.0;       ///< submit timestamp (obs clock)
   double queue_us = 0.0;

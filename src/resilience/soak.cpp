@@ -318,9 +318,9 @@ struct SoakDriver {
       if (options.inject_stale_cache_bug) {
         query_engine->inject_stale_cache_bug();
       }
-      // Sharded mode serves through submit() futures, which need the
-      // dispatcher threads running. (The engine's destructor stops them,
-      // so crash-recovery teardown needs no extra handling.)
+      // With several dispatchers the soak serves through submit() futures,
+      // which need the dispatcher threads running. (The engine's destructor
+      // stops them, so crash-recovery teardown needs no extra handling.)
       if (options.dispatchers > 1) query_engine->start();
     };
     // Serving stats accumulate per engine incarnation; fold them into the
@@ -445,7 +445,7 @@ struct SoakDriver {
             wave_queries(options.seed, w, options.qps, g.num_vertices());
         const serve::SnapshotRef snap = store->pin();
         // The soak loop is single-threaded, so no publish races this wave:
-        // sharded dispatchers adopt exactly snap's epoch, and the answers
+        // the dispatchers adopt exactly snap's epoch, and the answers
         // stay checkable against the pinned snapshot either way.
         std::vector<serve::QueryResult> answers;
         if (options.dispatchers > 1) {

@@ -96,11 +96,11 @@ struct SoakOptions {
   /// answer stands on a certificate measured against its own epoch.
   std::size_t qps = 0;
 
-  /// Dispatcher shards for the query engine (requires qps > 0 to matter).
+  /// Dispatchers for the query engine (requires qps > 0 to matter).
   /// 1 keeps the synchronous serve_batch path; >1 starts the engine and
   /// drives each wave's queries through submit() futures instead, so the
-  /// sharded dispatch plane — per-shard EDF, work stealing, shared-pin
-  /// epoch adoption — soaks under churn and crash-recovery too.
+  /// shared submit queue — global EDF, N dispatchers, shared-pin epoch
+  /// adoption — soaks under churn and crash-recovery too.
   std::size_t dispatchers = 1;
 
   /// Harness self-test: enable QueryEngine::inject_stale_cache_bug() so a

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <limits>
-#include <string>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -66,10 +67,6 @@ struct ServeMetrics {
       obs::MetricsRegistry::instance().counter("serve.epoch.invalidations");
   obs::Counter& epoch_rows_dropped =
       obs::MetricsRegistry::instance().counter("serve.epoch.rows_dropped");
-  obs::Counter& steals =
-      obs::MetricsRegistry::instance().counter("serve.steals");
-  obs::Counter& stolen_queries =
-      obs::MetricsRegistry::instance().counter("serve.stolen_queries");
   obs::HistogramMetric& batch_queries =
       obs::MetricsRegistry::instance().histogram("serve.batch.queries");
   obs::HistogramMetric& latency_us =
@@ -88,16 +85,6 @@ std::uint64_t now_us() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// How long an idle dispatcher naps between steal-victim probes. Producers
-/// notify their own shard's cv directly — and nudge one sibling's cv when
-/// their shard's backlog is building — so this only backstops how fast an
-/// idle shard notices a sibling backlog whose nudge was lost. The interval
-/// doubles up to the max while the whole engine stays quiescent (a 1 ms
-/// poll forever is ~1000 wakeups/sec/shard of idle CPU) and resets the
-/// moment any work is seen.
-constexpr std::chrono::milliseconds kStealPollInterval{1};
-constexpr std::chrono::milliseconds kStealPollIntervalMax{64};
 
 constexpr std::uint64_t kNoDeadline =
     std::numeric_limits<std::uint64_t>::max();
@@ -152,34 +139,14 @@ QueryEngine::QueryEngine(const Graph& h, ServeOptions options)
 void QueryEngine::init_engine() {
   serving_epoch_.store(serving_->epoch, std::memory_order_relaxed);
   n_epochs_adopted_.store(1, std::memory_order_relaxed);
-  rebind_serving_graph();
   const std::size_t count = std::max<std::size_t>(1, options_.dispatchers);
-  const std::size_t cap = std::max<std::size_t>(1, options_.cache_rows);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  contexts_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    auto shard = std::make_unique<Shard>(cap);
-    const std::string prefix = "serve.shard." + std::to_string(i) + ".";
-    shard->c_queries = &reg.counter(prefix + "queries");
-    shard->c_batches = &reg.counter(prefix + "batches");
-    shard->c_steals = &reg.counter(prefix + "steals");
-    shard->c_stolen = &reg.counter(prefix + "stolen_queries");
-    shards_.push_back(std::move(shard));
+    contexts_.emplace_back(std::max<std::size_t>(1, options_.cache_rows));
   }
 }
 
 QueryEngine::~QueryEngine() { stop(); }
-
-void QueryEngine::rebind_serving_graph() {
-  renumbered_ = options_.renumber != VertexOrder::kOriginal;
-  if (renumbered_) {
-    RenumberedGraph rg = serving_->spanner.renumber(options_.renumber);
-    internal_spanner_ = std::move(rg.graph);
-    renum_ = std::move(rg.map);
-    tables_.reset(internal_spanner_);
-  } else {
-    tables_.reset(serving_->spanner);
-  }
-}
 
 QueryResult QueryEngine::serve_one(const Query& query) {
   return serve_batch({&query, 1}).front();
@@ -197,8 +164,8 @@ std::vector<QueryResult> QueryEngine::serve_batch(
   metrics().queries.inc(queries.size());
   metrics().distance_queries.inc(distance);
   metrics().route_queries.inc(queries.size() - distance);
-  // Sync callers share one context; dispatcher shards keep running on
-  // theirs concurrently.
+  // Sync callers share one context; dispatchers keep running on theirs
+  // concurrently.
   std::lock_guard sync(sync_mutex_);
   if (!options_.trace.exemplars) return execute(queries, sync_context_, 0);
 
@@ -280,19 +247,18 @@ void QueryEngine::adopt_locked() {
   const std::size_t dropped = cached_rows_locked();
   if (!stale_cache_bug_.load(std::memory_order_relaxed)) {
     sync_context_.rows.clear();
-    for (auto& shard : shards_) shard->context.rows.clear();
+    for (ServeContext& c : contexts_) c.rows.clear();
   }
   // Re-sync the lock-free row-count mirror and the owner watermarks: every
   // executor is quiescent under this exclusive lock, so the recomputed sum
   // is exact (and nonzero on the injected stale-cache path, which keeps
   // its rows).
   sync_context_.rows_exported = sync_context_.rows.size();
-  for (auto& shard : shards_)
-    shard->context.rows_exported = shard->context.rows.size();
+  for (ServeContext& c : contexts_) c.rows_exported = c.rows.size();
   n_cached_rows_.store(static_cast<std::int64_t>(cached_rows_locked()),
                        std::memory_order_relaxed);
   serving_ = std::move(latest);
-  rebind_serving_graph();
+  tables_.reset(serving_->spanner);
   serving_epoch_.store(serving_->epoch, std::memory_order_release);
   n_epochs_adopted_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics& m = metrics();
@@ -354,14 +320,7 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
     return results;
   }
 
-  // Sweeps run on the internal (cache-ordered) substrate when renumbering
-  // is on; queries and answers cross the boundary through to_int/to_ext.
-  // Cached rows are keyed and indexed in internal IDs so a row survives
-  // exactly as long as its substrate does.
-  const Graph& h = renumbered_ ? internal_spanner_ : serving_->spanner;
-  const auto to_int = [this](Vertex x) {
-    return renumbered_ ? renum_.internal(x) : x;
-  };
+  const Graph& h = serving_->spanner;
   std::uint64_t unreachable = 0;
   const auto answer_distance = [&](QueryResult& r, Dist d) {
     r.distance = d;
@@ -379,27 +338,26 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
     const Query& q = queries[i];
     DCS_REQUIRE(q.u < n_ && q.v < n_, "query vertex out of range");
     if (q.kind == QueryKind::kDistance) {
-      const Vertex iu = to_int(q.u);
-      if (const std::vector<Dist>* row = ctx.rows.find(iu)) {
+      if (const std::vector<Dist>* row = ctx.rows.find(q.u)) {
         results[i].cache_hit = true;
-        answer_distance(results[i], (*row)[to_int(q.v)]);
+        answer_distance(results[i], (*row)[q.v]);
       } else {
-        const auto [it, fresh] = miss_by_source.try_emplace(iu);
-        if (fresh) missing_sources.push_back(iu);
+        const auto [it, fresh] = miss_by_source.try_emplace(q.u);
+        if (fresh) missing_sources.push_back(q.u);
         it->second.push_back(i);
       }
     } else {
       route_indices.push_back(i);
-      route_dests.push_back(to_int(q.v));
+      route_dests.push_back(q.v);
     }
   }
 
   // Phase 2: one 64-wide MS-BFS sweep per chunk of distinct missing
   // sources. A single-chunk batch (the common closed-loop shape) sweeps
-  // inline on this thread: the shared pool admits one top-level batch at a
-  // time, so routing every sweep through it would serialize the dispatcher
-  // shards right back into one lane. Multi-chunk batches still fan out on
-  // the pool. Materialized rows land in locals first so eviction order
+  // inline on this thread rather than waking the whole shared pool for one
+  // chunk. Multi-chunk batches fan out on the pool, which runs one
+  // top-level batch at a time (a concurrent caller sweeps on its own
+  // thread). Materialized rows land in locals first so eviction order
   // cannot snatch a row before its queries are answered.
   if (!missing_sources.empty()) {
     n_sources_.fetch_add(missing_sources.size(), std::memory_order_relaxed);
@@ -435,7 +393,7 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
     for (std::size_t s = 0; s < missing_sources.size(); ++s) {
       const Vertex u = missing_sources[s];
       for (const std::size_t qi : miss_by_source[u]) {
-        answer_distance(results[qi], fresh_rows[s][to_int(queries[qi].v)]);
+        answer_distance(results[qi], fresh_rows[s][queries[qi].v]);
       }
       ctx.rows.insert(u, std::move(fresh_rows[s]));
     }
@@ -460,16 +418,11 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
     for (const std::size_t qi : route_indices) {
       const Query& q = queries[qi];
       QueryResult& r = results[qi];
-      r.path = tables_.route(to_int(q.u), to_int(q.v));
+      r.path = tables_.route(q.u, q.v);
       if (r.path.empty()) {
         ++unreachable;
         r.distance = kUnreachable;
       } else {
-        // The walk happened in internal IDs; the answer leaves the engine
-        // in the caller's (original) ID space.
-        if (renumbered_) {
-          for (Vertex& p : r.path) p = renum_.external(p);
-        }
         r.distance = static_cast<Dist>(path_length(r.path));
       }
     }
@@ -524,78 +477,28 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
 
 void QueryEngine::start() {
   std::lock_guard lifecycle(lifecycle_mutex_);
-  if (running_.load()) return;
-  stopping_.store(false);
-  running_.store(true);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->dispatcher = std::thread([this, i] { dispatcher_loop(i); });
+  {
+    std::lock_guard lock(queue_mutex_);
+    if (state_ != State::kIdle) return;
+    state_ = State::kRunning;
   }
-  accepting_.store(true);
+  for (std::size_t i = 0; i < contexts_.size(); ++i) {
+    threads_.emplace_back([this, i] { dispatcher_loop(i); });
+  }
 }
 
 void QueryEngine::stop() {
   std::lock_guard lifecycle(lifecycle_mutex_);
-  if (!running_.load()) return;
-  // Order matters for the shed-safety argument (see the file header):
-  // accepting_ falls before stopping_ rises, so a producer that observes
-  // the engine still accepting enqueued before any dispatcher could have
-  // seen the stop.
-  accepting_.store(false);
-  stopping_.store(true);
-  // Publish the stop under each shard's mutex before notifying. A bare
-  // store+notify can land between a dispatcher's predicate check
-  // (queue.empty() && !stopping_) and its cv.wait() — the notify is lost
-  // and a single-shard dispatcher, which waits unbounded, sleeps forever
-  // with this join() deadlocked behind it. Passing through the mutex
-  // guarantees the dispatcher is either before its predicate check (and
-  // will see stopping_) or already waiting (and receives the notify).
-  for (auto& shard : shards_) {
-    { std::lock_guard publish(shard->mutex); }
-    shard->cv.notify_all();
+  {
+    std::lock_guard lock(queue_mutex_);
+    if (state_ != State::kRunning) return;
+    state_ = State::kDraining;
   }
-  for (auto& shard : shards_) {
-    if (shard->dispatcher.joinable()) shard->dispatcher.join();
-  }
-  stopping_.store(false);
-  running_.store(false);
-}
-
-bool QueryEngine::reserve_pending() {
-  const std::size_t cap = options_.admission.queue_capacity;
-  if (cap == 0) {
-    pending_total_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  std::size_t cur = pending_total_.load(std::memory_order_relaxed);
-  while (admission_.admit(cur)) {
-    if (pending_total_.compare_exchange_weak(cur, cur + 1,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t QueryEngine::route_shard(const Query& query) {
-  const std::size_t count = shards_.size();
-  if (count == 1) return 0;
-  if (options_.routing == ShardRouting::kHash) {
-    // Source-affine: mix the query's BFS endpoint (splitmix64 finalizer)
-    // so a repeat endpoint lands on the shard whose cache holds its row.
-    std::uint64_t h = query.kind == QueryKind::kDistance ? query.u : query.v;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-    h ^= h >> 31;
-    return h % count;
-  }
-  // Two-choice least-loaded over a rotating pair of shards.
-  const std::uint64_t r = rotor_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = r % count;
-  const std::size_t b = (r + 1) % count;
-  return shards_[a]->depth.load(std::memory_order_relaxed) <=
-                 shards_[b]->depth.load(std::memory_order_relaxed)
-             ? a
-             : b;
+  queue_cv_.notify_all();
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
+  std::lock_guard lock(queue_mutex_);
+  state_ = State::kIdle;
 }
 
 std::future<QueryResult> QueryEngine::submit(const Query& query) {
@@ -611,35 +514,27 @@ std::future<QueryResult> QueryEngine::submit(const Query& query) {
     ctx.trace_id = obs::RequestTracer::instance().next_trace_id();
     enqueue_obs_us = obs::Trace::now_us();
   }
-  bool admitted = false;
-  bool shutdown = false;
-  std::size_t depth_after = 0;
-  const std::size_t shard_index = route_shard(query);
-  Shard& shard = *shards_[shard_index];
+  std::optional<QueryOutcome> shed;  // set when refused at submit
   {
-    std::lock_guard lock(shard.mutex);
-    if (!accepting_.load()) {
-      // The engine is not accepting (never started, stopping, or
-      // stopped): shed with a terminal outcome instead of aborting the
-      // producer. See the header for why this check under the shard mutex
-      // cannot strand an enqueued query behind an exiting dispatcher.
-      shutdown = true;
-    } else if (reserve_pending()) {
-      Pending pending;
-      pending.query = query;
-      pending.enqueue_us = now;
-      pending.deadline_us = admission_.deadline_for(now, query.deadline_us);
-      pending.ctx = ctx;
-      pending.enqueue_obs_us = enqueue_obs_us;
-      pending.promise = std::move(promise);
-      shard.queue.push_back(std::move(pending));
-      depth_after = shard.queue.size();
-      shard.depth.store(depth_after, std::memory_order_relaxed);
-      admitted = true;
+    std::lock_guard lock(queue_mutex_);
+    if (state_ != State::kRunning) {
+      // Never started, stopping, or stopped: shed with a terminal outcome
+      // instead of aborting the producer (see "Shutdown" in the header).
+      shed = QueryOutcome::kShedShutdown;
+    } else if (!admission_.admit(queue_.size())) {
+      shed = QueryOutcome::kShedAdmission;
+    } else {
+      queue_.push_back(Pending{
+          .query = query,
+          .enqueue_us = now,
+          .deadline_us = admission_.deadline_for(now, query.deadline_us),
+          .ctx = ctx,
+          .enqueue_obs_us = enqueue_obs_us,
+          .promise = std::move(promise)});
     }
   }
   // Intake tallies are atomics/registry counters; keeping them outside the
-  // shard mutex keeps producers from serializing on bookkeeping.
+  // queue mutex keeps producers from serializing on bookkeeping.
   n_queries_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics& m = metrics();
   m.queries.inc();
@@ -650,190 +545,83 @@ std::future<QueryResult> QueryEngine::submit(const Query& query) {
     n_route_.fetch_add(1, std::memory_order_relaxed);
     m.route_queries.inc();
   }
-  if (admitted) {
-    shard.cv.notify_one();
-    if (depth_after > 1 && shards_.size() > 1) {
-      // Backlog building behind a busy dispatcher: nudge one sibling so an
-      // idle (possibly backed-off) dispatcher steals now rather than on
-      // its next poll. Lossy by design — no sibling mutex is taken, so a
-      // nudge landing between a sibling's predicate check and its wait can
-      // vanish; the backed-off steal poll is the backstop.
-      const std::size_t count = shards_.size();
-      const std::uint64_t r =
-          nudge_rotor_.fetch_add(1, std::memory_order_relaxed);
-      shards_[(shard_index + 1 + r % (count - 1)) % count]->cv.notify_one();
-    }
-  } else if (shutdown) {
-    n_shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    m.shed_shutdown.inc();
-    obs::FlightRecorder::instance().record(obs::FlightEventKind::kShed,
-                                           "shutdown", 1, ctx.trace_id);
-    QueryResult shed;
-    shed.outcome = QueryOutcome::kShedShutdown;
-    shed.trace_id = ctx.trace_id;
-    promise.set_value(std::move(shed));
-  } else {
-    n_shed_admission_.fetch_add(1, std::memory_order_relaxed);
-    m.shed_admission.inc();
-    obs::FlightRecorder::instance().record(obs::FlightEventKind::kShed,
-                                           "admission", 1, ctx.trace_id);
-    QueryResult shed;
-    shed.outcome = QueryOutcome::kShedAdmission;
-    shed.trace_id = ctx.trace_id;
-    promise.set_value(std::move(shed));
+  if (!shed) {
+    queue_cv_.notify_one();
+    return future;
   }
+  const bool shutdown = *shed == QueryOutcome::kShedShutdown;
+  (shutdown ? n_shed_shutdown_ : n_shed_admission_)
+      .fetch_add(1, std::memory_order_relaxed);
+  (shutdown ? m.shed_shutdown : m.shed_admission).inc();
+  obs::FlightRecorder::instance().record(obs::FlightEventKind::kShed,
+                                         shutdown ? "shutdown" : "admission",
+                                         1, ctx.trace_id);
+  QueryResult result;
+  result.outcome = *shed;
+  result.trace_id = ctx.trace_id;
+  promise.set_value(std::move(result));
   return future;
 }
 
-void QueryEngine::drain_window(Shard& shard, std::vector<Pending>& out) {
+void QueryEngine::drain_window(std::vector<Pending>& out) {
   const std::size_t window =
-      options_.batch_window == 0 ? shard.queue.size() : options_.batch_window;
-  const std::size_t take = std::min(shard.queue.size(), window);
-  out.reserve(out.size() + take);
-  // EDF: when the backlog exceeds one window, drain the most deadline-
-  // pressed queries first so they are not shed behind fresh arrivals that
-  // could afford to wait. edf_select keeps this O(Q) under the shard
+      options_.batch_window == 0 ? queue_.size() : options_.batch_window;
+  if (queue_.size() <= window) {
+    out.insert(out.end(), std::make_move_iterator(queue_.begin()),
+               std::make_move_iterator(queue_.end()));
+    queue_.clear();
+    return;
+  }
+  // EDF: the backlog exceeds one window, so drain the most deadline-
+  // pressed queries first; they are not shed behind fresh arrivals that
+  // could afford to wait. edf_select keeps this O(Q) under the queue
   // mutex instead of stable_sorting the whole backlog.
-  if (options_.edf_dispatch && take < shard.queue.size()) {
-    std::vector<std::uint64_t> deadlines;
-    deadlines.reserve(shard.queue.size());
-    for (const Pending& p : shard.queue) deadlines.push_back(p.deadline_us);
-    const std::vector<std::uint32_t> selected = edf_select(deadlines, take);
-    std::vector<char> taken(shard.queue.size(), 0);
-    for (const std::uint32_t idx : selected) {
-      out.push_back(std::move(shard.queue[idx]));
-      taken[idx] = 1;
-    }
-    // Compact the survivors in place; their relative (arrival) order is
-    // preserved, which is what keeps the FIFO tie-break stable across
-    // successive drains.
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < shard.queue.size(); ++r) {
-      if (taken[r]) continue;
-      if (w != r) shard.queue[w] = std::move(shard.queue[r]);
-      ++w;
-    }
-    shard.queue.resize(w);
-  } else {
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(shard.queue.front()));
-      shard.queue.pop_front();
-    }
+  std::vector<std::uint64_t> deadlines;
+  deadlines.reserve(queue_.size());
+  for (const Pending& p : queue_) deadlines.push_back(p.deadline_us);
+  std::vector<char> taken(queue_.size(), 0);
+  out.reserve(out.size() + window);
+  for (const std::uint32_t idx : edf_select(deadlines, window)) {
+    out.push_back(std::move(queue_[idx]));
+    taken[idx] = 1;
   }
-  shard.depth.store(shard.queue.size(), std::memory_order_relaxed);
-  pending_total_.fetch_sub(take, std::memory_order_relaxed);
+  // Compact the survivors in place; their relative (arrival) order is
+  // preserved, which is what keeps the FIFO tie-break stable across
+  // successive drains.
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < queue_.size(); ++r) {
+    if (taken[r]) continue;
+    if (w != r) queue_[w] = std::move(queue_[r]);
+    ++w;
+  }
+  queue_.resize(w);
 }
 
-bool QueryEngine::steal_batch(std::size_t thief_index,
-                              std::vector<Pending>& out) {
-  // Deepest-victim probe over the lock-free depth mirrors (racy reads are
-  // fine: this is a heuristic, correctness is re-checked under the
-  // victim's mutex).
-  std::size_t victim_index = thief_index;
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (i == thief_index) continue;
-    const std::size_t d = shards_[i]->depth.load(std::memory_order_relaxed);
-    if (d > best) {
-      best = d;
-      victim_index = i;
-    }
-  }
-  if (victim_index == thief_index) return false;
-  Shard& victim = *shards_[victim_index];
-  std::size_t take = 0;
-  {
-    // Only the victim's mutex is held — never two shard mutexes at once,
-    // so thieves cannot deadlock with each other or with producers.
-    std::lock_guard lock(victim.mutex);
-    if (victim.queue.empty()) return false;
-    const std::size_t window = options_.batch_window == 0
-                                   ? victim.queue.size()
-                                   : options_.batch_window;
-    take = std::min((victim.queue.size() + 1) / 2, window);
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(victim.queue.back()));
-      victim.queue.pop_back();
-    }
-    victim.depth.store(victim.queue.size(), std::memory_order_relaxed);
-  }
-  // The back of the deque is the newest work: the victim keeps the oldest
-  // entries (which it drains next anyway) and the thief's batch stays in
-  // FIFO order after the reversal. Stolen work skips EDF selection — it
-  // executes immediately, which is sooner than any EDF position.
-  std::reverse(out.end() - static_cast<long>(take), out.end());
-  pending_total_.fetch_sub(take, std::memory_order_relaxed);
-  n_steals_.fetch_add(1, std::memory_order_relaxed);
-  n_stolen_.fetch_add(take, std::memory_order_relaxed);
-  ServeMetrics& m = metrics();
-  m.steals.inc();
-  m.stolen_queries.inc(take);
-  Shard& thief = *shards_[thief_index];
-  thief.c_steals->inc();
-  thief.c_stolen->inc(take);
-  // The victim id is 1-based like every other serve-plane dispatcher id
-  // (results, exemplars, deadline-shed events; 0 = the sync path).
-  obs::FlightRecorder::instance().record(obs::FlightEventKind::kCustom,
-                                         "work-steal", take, victim_index + 1);
-  return true;
-}
-
-void QueryEngine::dispatcher_loop(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
+void QueryEngine::dispatcher_loop(std::size_t index) {
   std::vector<Pending> drained;
-  std::chrono::milliseconds idle_wait = kStealPollInterval;
   for (;;) {
-    drained.clear();
+    bool left_work = false;
     {
-      std::unique_lock lock(shard.mutex);
-      while (shard.queue.empty() && !stopping_.load()) {
-        if (shards_.size() > 1) {
-          // Idle: nap, then look for a sibling to steal from. A producer
-          // landing on *this* shard wakes the cv immediately, and one
-          // whose shard is backing up nudges a sibling's cv, so the nap
-          // only backstops a lost nudge. While nothing turns up the nap
-          // doubles toward the max — a quiescent engine converges to a
-          // handful of wakeups per second instead of a 1 ms busy-poll.
-          bool sibling_backlog = false;
-          for (std::size_t i = 0; i < shards_.size(); ++i) {
-            if (i != shard_index &&
-                shards_[i]->depth.load(std::memory_order_relaxed) > 0) {
-              sibling_backlog = true;
-              break;
-            }
-          }
-          if (sibling_backlog) break;
-          shard.cv.wait_for(lock, idle_wait);
-          idle_wait = std::min(idle_wait * 2, kStealPollIntervalMax);
-        } else {
-          shard.cv.wait(lock);
-        }
-      }
-      if (!shard.queue.empty()) {
-        drain_window(shard, drained);
-      } else if (stopping_.load()) {
-        // Own queue drained and the engine is stopping. Siblings drain
-        // their own queues before exiting, so no backlog is stranded.
-        return;
-      }
+      std::unique_lock lock(queue_mutex_);
+      queue_cv_.wait(lock, [this] {
+        return !queue_.empty() || state_ != State::kRunning;
+      });
+      if (queue_.empty()) return;  // kDraining, and nothing left to drain
+      drain_window(drained);
+      left_work = !queue_.empty();
     }
-    if (drained.empty()) {
-      // Broke out of the wait on a sibling's backlog: steal outside our
-      // own mutex.
-      if (!steal_batch(shard_index, drained)) continue;
-    }
-    idle_wait = kStealPollInterval;  // work seen: restore steal latency
-    process_batch(shard_index, drained);
+    // Hand the rest of the backlog to an idle sibling now rather than
+    // after this batch executes.
+    if (left_work) queue_cv_.notify_one();
+    process_batch(index, drained);
+    drained.clear();
   }
 }
 
-void QueryEngine::process_batch(std::size_t shard_index,
+void QueryEngine::process_batch(std::size_t index,
                                 std::vector<Pending>& drained) {
-  Shard& shard = *shards_[shard_index];
-  const std::uint32_t dispatcher_id =
-      static_cast<std::uint32_t>(shard_index) + 1;
+  const std::uint32_t dispatcher_id = static_cast<std::uint32_t>(index) + 1;
   ServeMetrics& m = metrics();
-  shard.c_queries->inc(drained.size());
 
   // Deadline shedding: a query whose budget elapsed while queued gets a
   // terminal outcome now instead of consuming a sweep it cannot use.
@@ -881,10 +669,9 @@ void QueryEngine::process_batch(std::size_t shard_index,
   if (live.empty()) return;
 
   try {
-    shard.c_batches->inc();
     BatchMeta meta;
     std::vector<QueryResult> results =
-        execute(live, shard.context, dispatcher_id, &meta);
+        execute(live, contexts_[index], dispatcher_id, &meta);
     const std::uint64_t done = now_us();
     const double done_obs_us = obs::Trace::now_us();
     const bool slo_on = obs::metrics_enabled();
@@ -944,14 +731,12 @@ ServeStats QueryEngine::stats() const {
   s.shed_shutdown = n_shed_shutdown_.load(std::memory_order_relaxed);
   s.unreachable = n_unreachable_.load(std::memory_order_relaxed);
   s.epochs_adopted = n_epochs_adopted_.load(std::memory_order_relaxed);
-  s.steals = n_steals_.load(std::memory_order_relaxed);
-  s.stolen_queries = n_stolen_.load(std::memory_order_relaxed);
   return s;
 }
 
 std::size_t QueryEngine::cached_rows_locked() const {
   std::size_t total = sync_context_.rows.size();
-  for (const auto& shard : shards_) total += shard->context.rows.size();
+  for (const ServeContext& c : contexts_) total += c.rows.size();
   return total;
 }
 
@@ -960,7 +745,7 @@ std::size_t QueryEngine::cached_rows() const {
   // count delta in at batch end (owner-only watermark) and adoption
   // re-syncs it under the exclusive lock. Taking the exclusive substrate
   // lock here instead would turn every introspection poll into a barrier
-  // that stalls all dispatcher shards and sync callers.
+  // that stalls all dispatchers and sync callers.
   const std::int64_t v = n_cached_rows_.load(std::memory_order_relaxed);
   return v > 0 ? static_cast<std::size_t>(v) : 0;
 }

@@ -25,7 +25,7 @@
 //    (serve/admission.hpp) bounds the pending queue globally and sheds
 //    deadline-expired queries with packet_sim-style terminal outcomes, so
 //    overload degrades throughput, never accounting: served + shed ==
-//    submitted, always — across every shard.
+//    submitted, always.
 //
 //  * Epoch snapshots.  The engine never reads a mutable graph: it serves
 //    from immutable ServeSnapshots pinned out of a SnapshotStore
@@ -40,22 +40,20 @@
 //    required), the batch is shed with the structured kShedDegraded
 //    outcome instead of stalling or serving uncertified answers.
 //
-// Thread model — the N-way sharded dispatcher:
+// Thread model — one queue, N dispatchers:
 //
-//   producers ──route──▶ shard 0 deque ──▶ dispatcher 0 ─┐
-//              (hash or  shard 1 deque ──▶ dispatcher 1 ─┼─▶ shared pinned
-//          least-loaded)        …                 …      │    snapshot
-//                        shard N-1     ──▶ dispatcher N-1┘   (one pin/epoch)
+//                                  ┌─▶ dispatcher 1 ─┐
+//   producers ──submit()──▶ queue_ ┼─▶ dispatcher 2 ─┼─▶ shared pinned snapshot
+//                                  │        …        │   (one pin per epoch)
+//                                  └─▶ dispatcher N ─┘
 //
-//  * submit() routes each query to a shard (ServeOptions::routing):
-//    two-choice least-loaded balances skewed producers; hash routing is
-//    source-affine so a repeat endpoint hits the shard whose cache holds
-//    its row. Admission is reserved against one global atomic, so the
-//    queue bound and conservation hold engine-wide, not per shard.
-//  * Each dispatcher drains its own deque earliest-deadline-first and
-//    executes batches concurrently with its siblings. An idle dispatcher
-//    steals the newest half of the deepest sibling backlog, so one hot
-//    shard cannot stall the others' capacity.
+//  * submit() admits against queue_.size() and enqueues under
+//    queue_mutex_, so the queue bound and conservation are exact.
+//  * A dispatcher takes up to one batch window — the whole queue when it
+//    fits, otherwise the window's most deadline-pressed queries
+//    (edf_select; EDF is global) — and notify_one()s a sibling when it
+//    leaves work behind, so no dispatcher idles while queries wait.
+//    Each dispatcher executes on its own 2Q row-cache context.
 //  * All dispatchers serve under ONE pinned snapshot. Per batch, epoch
 //    currency costs two atomic loads (store epoch vs adopted epoch); only
 //    when they differ does a dispatcher take the exclusive substrate lock
@@ -63,25 +61,25 @@
 //    and rebinding the route tables once per epoch, no matter how many
 //    dispatchers are in flight (SnapshotStore::pin_if_newer makes the
 //    race-losing adopters free).
-//  * stop() is shed-safe: producers racing it get futures resolved with
-//    kShedShutdown (counted in conservation) instead of a crash, and every
-//    query enqueued before the shard's dispatcher observed the stop is
-//    drained. A submit that enqueues does so under its shard mutex after
-//    reading accepting_ == true; stop() clears accepting_ before raising
-//    stopping_, and a dispatcher exits only after seeing stopping_ with an
-//    empty deque under that same mutex — so an enqueue either precedes the
-//    dispatcher's final check (and is drained) or observes accepting_ ==
-//    false (and sheds). All three flags are seq_cst.
+//  * Shutdown. state_ ∈ {kIdle, kRunning, kDraining} is read and written
+//    only under queue_mutex_, which also guards queue_ and the cv
+//    predicate (queue non-empty, or state_ != kRunning). submit()
+//    enqueues only while state_ == kRunning and otherwise sheds with
+//    kShedShutdown; stop() sets kDraining and notify_all()s; a dispatcher
+//    exits only when it sees kDraining with an empty queue. So every
+//    enqueue precedes the stop, every dispatcher's exit check follows it
+//    and finds the query already drained, and since the predicate only
+//    changes under queue_mutex_, no wakeup can be lost. stop() joins
+//    every dispatcher, so drained batches finish before it returns.
 //
 // serve_batch() remains the synchronous core (benches, tests, and the
 // soak's lockstep mode use it directly); sync callers serialize on their
-// own context and run concurrently with the dispatcher shards.
+// own context and run concurrently with the dispatchers.
 //
 // Instrumentation: a trace span per dispatched batch, serve.* counters,
-// per-shard serve.shard.<i>.{queries,batches,steals,stolen_queries}
-// counters, the dispatcher id on every result/exemplar, and
-// serve.latency.us / serve.batch.queries histograms — see docs/serving.md
-// and docs/observability.md.
+// the dispatcher id on every result/exemplar, and serve.latency.us /
+// serve.batch.queries histograms — see docs/serving.md and
+// docs/observability.md.
 
 #include <atomic>
 #include <condition_variable>
@@ -97,7 +95,6 @@
 
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
-#include "graph/renumber.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "routing/routing.hpp"
@@ -155,46 +152,30 @@ struct QueryResult {
   double latency_us = 0.0;
   /// Request trace id (obs/request_trace); 0 when tracing is off.
   std::uint64_t trace_id = 0;
-  /// Dispatcher shard that executed (or deadline-shed) this query,
-  /// 1-based; 0 = synchronous serve_batch() path or shed before reaching
-  /// a dispatcher (admission/shutdown).
+  /// Dispatcher that executed (or deadline-shed) this query, 1-based;
+  /// 0 = synchronous serve_batch() path or shed before reaching a
+  /// dispatcher (admission/shutdown).
   std::uint32_t dispatcher = 0;
   /// Distance query answered from the 2Q row cache without a sweep.
   bool cache_hit = false;
   QueryLatencyBreakdown breakdown;
 };
 
-/// How submit() picks a shard when ServeOptions::dispatchers > 1.
-enum class ShardRouting : std::uint8_t {
-  /// Two-choice least-loaded: probe two rotating shards, enqueue on the
-  /// shallower. Balances skewed producers; the default.
-  kLeastLoaded,
-  /// Source-affine hash of the query's BFS endpoint (distance: u, route:
-  /// v): a repeat endpoint always lands on the shard whose 2Q cache holds
-  /// its row. Work stealing backstops the skew this can create.
-  kHash,
-};
-
 struct ServeOptions {
   /// Distance rows kept in each execution context's 2Q cache (one context
-  /// per dispatcher shard, plus one for the synchronous path).
+  /// per dispatcher, plus one for the synchronous path).
   std::size_t cache_rows = 256;
   /// Queries drained per dispatch; larger windows coalesce better but add
-  /// queueing latency under saturation.
+  /// queueing latency under saturation. A larger backlog is drained
+  /// earliest-deadline-first, so near-deadline queries are not shed behind
+  /// fresh no-deadline arrivals.
   std::size_t batch_window = 4096;
   AdmissionOptions admission;
   /// Tie-break seed for lazily built route tables.
   std::uint64_t seed = 1;
-  /// Dispatcher threads draining the submit queue. 1 (the default)
-  /// preserves single-dispatcher behavior; N > 1 shards the pending queue
-  /// N ways — see the thread-model diagram above.
+  /// Dispatcher threads draining the one submit queue, each with its own
+  /// row-cache context — see the thread-model diagram above.
   std::size_t dispatchers = 1;
-  /// Shard-routing policy for submit() (ignored when dispatchers == 1).
-  ShardRouting routing = ShardRouting::kLeastLoaded;
-  /// Drain each shard's pending queue earliest-deadline-first, so
-  /// near-deadline queries are not shed behind fresh no-deadline arrivals
-  /// when the backlog exceeds one batch window.
-  bool edf_dispatch = true;
   /// Ladder threshold for graceful degradation: a batch pinned to a
   /// snapshot whose ladder state is >= this sheds with kShedDegraded.
   /// The default sheds only at kLost (the certificate itself is gone);
@@ -214,16 +195,10 @@ struct ServeOptions {
     bool exemplars = false;
   };
   RequestTraceOptions trace;
-  /// Cache-order vertex renumbering for the serving substrate (see
-  /// graph/renumber.hpp). The engine sweeps a relabeled copy of each
-  /// pinned spanner and translates at its boundary, so queries, answers,
-  /// paths, epochs, and everything upstream (snapshots, certificates,
-  /// checkpoints) stay in original-ID space. kOriginal is zero-overhead.
-  VertexOrder renumber = VertexOrder::kOriginal;
 };
 
 /// Monotonic tallies, readable concurrently with serving. Conservation
-/// holds globally across shards once the engine is drained:
+/// holds once the engine is drained:
 /// queries == served + shed_admission + shed_deadline + shed_degraded
 ///            + shed_shutdown.
 struct ServeStats {
@@ -243,8 +218,10 @@ struct ServeStats {
   std::uint64_t shed_shutdown = 0;
   std::uint64_t unreachable = 0;
   std::uint64_t epochs_adopted = 0;  ///< snapshot swaps observed (≥ 1)
-  std::uint64_t steals = 0;          ///< work-steal operations between shards
-  std::uint64_t stolen_queries = 0;  ///< queries moved by those steals
+  /// Always 0: every dispatcher drains the one shared queue, so there is
+  /// no work to steal. Kept so existing readers of ServeStats still build.
+  std::uint64_t steals = 0;
+  std::uint64_t stolen_queries = 0;  ///< always 0, see steals
 };
 
 /// Indices of the `take` most deadline-pressed entries of `deadlines`, in
@@ -252,9 +229,9 @@ struct ServeStats {
 /// deadlines dispatch FIFO (by index). Equivalent to a stable_sort of the
 /// whole backlog by effective deadline truncated to `take`, but via an
 /// O(Q) nth_element partition plus an O(take log take) sort of the window
-/// only — this runs under a shard's queue mutex, squarely in the
-/// producers' critical section, so the full-backlog O(Q log Q) sort it
-/// replaces was a submit-side stall. Exposed for the equivalence test.
+/// only — this runs under the queue mutex, squarely in the producers'
+/// critical section, so the full-backlog O(Q log Q) sort it replaces was
+/// a submit-side stall. Exposed for the equivalence test.
 std::vector<std::uint32_t> edf_select(std::span<const std::uint64_t> deadlines,
                                       std::size_t take);
 
@@ -280,7 +257,7 @@ class QueryEngine {
   /// BFS endpoint, sweeps cache misses through 64-wide MS-BFS batches,
   /// fills route rows lazily, and returns results in input order. Safe to
   /// call from any thread (sync callers serialize on a dedicated context;
-  /// dispatcher shards keep running). Sheds the whole batch with
+  /// dispatchers keep running). Sheds the whole batch with
   /// kShedDegraded when the pinned certificate is below the serving
   /// policy (see ServeOptions::shed_at).
   std::vector<QueryResult> serve_batch(std::span<const Query> queries);
@@ -289,20 +266,19 @@ class QueryEngine {
   QueryResult serve_one(const Query& query);
 
   // --- concurrent path ----------------------------------------------------
-  /// Starts the dispatcher shards (ServeOptions::dispatchers threads).
+  /// Starts the dispatchers (ServeOptions::dispatchers threads).
   /// Idempotent.
   void start();
-  /// Drains every shard's pending queue, then stops the dispatchers.
-  /// Idempotent; also run by the destructor.
+  /// Drains the pending queue, then stops the dispatchers. Idempotent;
+  /// also run by the destructor.
   void stop();
 
-  /// Enqueues a query for batched dispatch on one of the shards. The
-  /// returned future is already resolved with kShedAdmission when the
-  /// global pending bound is full, and with kShedShutdown when the engine
-  /// is not accepting (never started, stopping, or stopped — a producer
-  /// racing stop() sheds cleanly instead of crashing). If the query's
-  /// deadline passes before its batch is drained it resolves with
-  /// kShedDeadline.
+  /// Enqueues a query for batched dispatch. The returned future is
+  /// already resolved with kShedAdmission when the pending bound is
+  /// full, and with kShedShutdown when the engine is not running (never
+  /// started, stopping, or stopped — a producer racing stop() sheds
+  /// cleanly instead of crashing). If the query's deadline passes before
+  /// its batch is drained it resolves with kShedDeadline.
   std::future<QueryResult> submit(const Query& query);
 
   ServeStats stats() const;
@@ -317,7 +293,7 @@ class QueryEngine {
   /// a lock-free mirror (safe to poll while serving; never a barrier);
   /// exact whenever no batch is mid-execution.
   std::size_t cached_rows() const;
-  std::size_t num_dispatchers() const { return shards_.size(); }
+  std::size_t num_dispatchers() const { return contexts_.size(); }
 
   /// Fault injection for the chaos-soak harness: skip the distance-row
   /// cache drop on epoch adoption, so rows materialized under a pre-
@@ -343,8 +319,8 @@ class QueryEngine {
   };
 
   /// Per-executor serving state: the 2Q distance-row cache plus the
-  /// exported-tally watermarks for it. Each dispatcher shard owns one and
-  /// the synchronous path owns one; only the owner touches it (under the
+  /// exported-tally watermarks for it. Each dispatcher owns one and the
+  /// synchronous path owns one; only the owner touches it (under the
   /// shared substrate lock), except epoch adoption, which clears every
   /// cache under the exclusive lock. Owner-only watermarks are what make
   /// the cache-metric delta export race-free: the old engine re-read
@@ -360,44 +336,23 @@ class QueryEngine {
     explicit ServeContext(std::size_t capacity) : rows(capacity) {}
   };
 
-  /// One dispatcher shard: its slice of the pending queue plus its
-  /// execution context and obs counters.
-  struct Shard {
-    std::mutex mutex;  ///< guards queue (and the accepting_ check+enqueue)
-    std::condition_variable cv;
-    std::deque<Pending> queue;
-    /// queue.size() mirror for lock-free routing/steal-victim probes
-    /// (approximate reads are fine: both are load-balance heuristics).
-    std::atomic<std::size_t> depth{0};
-    std::thread dispatcher;
-    ServeContext context;
-    obs::Counter* c_queries = nullptr;  // serve.shard.<i>.*
-    obs::Counter* c_batches = nullptr;
-    obs::Counter* c_steals = nullptr;
-    obs::Counter* c_stolen = nullptr;
-    explicit Shard(std::size_t cache_rows) : context(cache_rows) {}
-  };
+  /// Dispatcher lifecycle; see "Shutdown" in the file header.
+  enum class State : std::uint8_t { kIdle, kRunning, kDraining };
 
-  /// Shared constructor tail: epoch bookkeeping, substrate bind, shard +
-  /// per-shard counter creation.
+  /// Shared constructor tail: epoch bookkeeping and dispatcher contexts.
   void init_engine();
 
-  void dispatcher_loop(std::size_t shard_index);
-  /// Deadline-sheds then executes one drained batch and resolves its
-  /// futures; `dispatcher_id` is 1-based (stamped on results/exemplars).
-  void process_batch(std::size_t shard_index, std::vector<Pending>& drained);
-  /// Drains up to one batch window from `shard.queue` (EDF selection when
-  /// the backlog exceeds the window). Caller holds shard.mutex.
-  void drain_window(Shard& shard, std::vector<Pending>& out);
-  /// Steals the newest half of the deepest sibling backlog into `out`.
-  /// Returns false when no sibling has queued work. Takes only the
-  /// victim's mutex (never two shard mutexes at once).
-  bool steal_batch(std::size_t thief_index, std::vector<Pending>& out);
-  /// Picks the shard index for one submitted query (ServeOptions::routing).
-  std::size_t route_shard(const Query& query);
-  /// Reserves one slot against the global pending bound (CAS, exact across
-  /// shards). Drains/steals release with fetch_sub.
-  bool reserve_pending();
+  /// Drains up to one batch window at a time until stop() has set
+  /// kDraining and the queue is empty. `index` is 0-based; results carry
+  /// index + 1.
+  void dispatcher_loop(std::size_t index);
+  /// Deadline-sheds then executes one drained batch on dispatcher
+  /// `index`'s context and resolves its futures.
+  void process_batch(std::size_t index, std::vector<Pending>& drained);
+  /// Moves up to one batch window from queue_ into `out`: all of it when
+  /// it fits, otherwise the window's most deadline-pressed entries
+  /// (edf_select). Caller holds queue_mutex_.
+  void drain_window(std::vector<Pending>& out);
 
   /// The coalesced serving core: runs under the shared substrate lock with
   /// the caller-owned `ctx` caches; counts everything except query intake,
@@ -418,10 +373,6 @@ class QueryEngine {
   /// rows + rebinds the route tables, once. Caller holds the exclusive
   /// substrate lock.
   void adopt_locked();
-  /// Recomputes the internal (possibly renumbered) serving graph from the
-  /// pinned snapshot and rebinds the route tables to it. Caller holds the
-  /// exclusive substrate lock (or is the constructor).
-  void rebind_serving_graph();
   /// True when the pinned certificate is below the serving policy.
   bool should_shed_degraded() const;
   std::size_t cached_rows_locked() const;
@@ -439,38 +390,26 @@ class QueryEngine {
   // synchronized), taken while already holding the shared lock.
   mutable std::shared_mutex substrate_mutex_;
   SnapshotRef serving_;  ///< snapshot the caches are keyed to
-  // Cache-order serving substrate: when options_.renumber != kOriginal the
-  // sweeps and route tables run on internal_spanner_ (a relabeled copy of
-  // serving_->spanner) and renum_ translates external <-> internal at the
-  // query boundary. Cached rows are keyed and indexed by internal IDs.
-  // Declared before tables_, which holds a reference to the graph it
-  // routes on.
-  Renumbering renum_;
-  Graph internal_spanner_;
-  bool renumbered_ = false;
   LazyRoutingTables tables_;
   std::mutex route_mutex_;
   std::atomic<bool> stale_cache_bug_{false};
 
-  // Dispatcher shards (fixed at construction) and the synchronous path's
-  // context. sync_mutex_ serializes concurrent serve_batch() callers.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // One context per dispatcher (fixed at construction) and the
+  // synchronous path's. sync_mutex_ serializes concurrent serve_batch()
+  // callers.
+  std::vector<ServeContext> contexts_;
   ServeContext sync_context_;
   std::mutex sync_mutex_;
 
-  // Lifecycle. All seq_cst: the shutdown-shed safety argument in the file
-  // header leans on the single total order of accepting_/stopping_ stores
-  // and loads. lifecycle_mutex_ serializes start()/stop() themselves.
+  // The submit queue. queue_mutex_ guards queue_, state_ and the cv
+  // predicate; lifecycle_mutex_ serializes start()/stop() and guards
+  // threads_, which is declared last because the dispatchers use the rest.
+  std::mutex queue_mutex_;
+  std::condition_variable queue_cv_;
+  std::deque<Pending> queue_;
+  State state_ = State::kIdle;
   std::mutex lifecycle_mutex_;
-  std::atomic<bool> accepting_{false};
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  /// Queries queued across all shards, bounded by the admission policy.
-  std::atomic<std::size_t> pending_total_{0};
-  /// Rotor for two-choice least-loaded routing.
-  std::atomic<std::uint64_t> rotor_{0};
-  /// Rotor spreading submit()'s steal nudges across sibling shards.
-  std::atomic<std::uint64_t> nudge_rotor_{0};
+  std::vector<std::thread> threads_;
 
   // Stats mirrors (relaxed atomics so stats() never takes a lock). Cache
   // tallies accumulate owner-computed deltas from each context.
@@ -478,8 +417,7 @@ class QueryEngine {
       n_served_{0}, n_batches_{0}, n_sources_{0}, n_hits_{0}, n_misses_{0},
       n_evictions_{0}, n_rows_filled_{0}, n_shed_admission_{0},
       n_shed_deadline_{0}, n_shed_degraded_{0}, n_shed_shutdown_{0},
-      n_unreachable_{0}, n_epochs_adopted_{0}, n_steals_{0}, n_stolen_{0},
-      serving_epoch_{0};
+      n_unreachable_{0}, n_epochs_adopted_{0}, serving_epoch_{0};
   /// Lock-free cached_rows() mirror: owners fold their context's row-count
   /// delta in at batch end; adoption re-syncs it under the exclusive lock.
   /// Signed because an executor can net-shrink its cache (evictions).

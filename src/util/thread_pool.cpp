@@ -132,20 +132,24 @@ void ThreadPool::parallel_ranges(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (end <= begin) return;
+  const auto run_serial = [&] {
+    RegionGuard guard;
+    fn(begin, end, 0);
+  };
   // A nested call from inside a parallel region (a pool worker, or the
   // caller's chunk of an enclosing parallel_ranges) must not post jobs to
   // the already-busy pool: the outer batch's pending_ latch can never
   // reach zero while this thread blocks on the inner one. Degrade to
   // serial, exactly like parallel_for does. A pool with no workers
   // (size() == 1) takes the same path.
-  if (workers_.empty() || detail::in_parallel_region()) {
-    RegionGuard guard;
-    fn(begin, end, 0);
-    return;
-  }
-  // Serialize concurrent top-level callers (e.g. a serving thread and the
-  // main thread): jobs_/pending_/generation_ describe one batch at a time.
-  std::lock_guard submit_lock(submit_mutex_);
+  if (workers_.empty() || detail::in_parallel_region()) return run_serial();
+  // jobs_/pending_/generation_ describe one batch at a time. A top-level
+  // call that finds another in flight runs serially on its own thread
+  // rather than waiting: callers such as the query engine hold their own
+  // locks here, and waiting on submit_mutex_ under them inverts the order
+  // in which a caller chunk, running under submit_mutex_, takes them.
+  std::unique_lock submit_lock(submit_mutex_, std::try_to_lock);
+  if (!submit_lock.owns_lock()) return run_serial();
   const std::size_t total = end - begin;
   const std::size_t workers = size();
   const std::size_t chunk = (total + workers - 1) / workers;

@@ -41,8 +41,10 @@ class ThreadPool {
   ///
   /// Safe to call from inside a parallel region (including the pool's own
   /// workers): nested calls degrade to serial execution of the whole range
-  /// instead of deadlocking on the pool's completion latch. Concurrent
-  /// top-level calls from different threads serialize on an internal mutex.
+  /// instead of deadlocking on the pool's completion latch. The pool runs
+  /// one top-level call at a time; a top-level call made while another is
+  /// running never waits for it, and instead runs its whole range on the
+  /// calling thread (worker_index 0), like a nested call.
   void parallel_ranges(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
@@ -51,7 +53,8 @@ class ThreadPool {
   /// calling thread, as index 0). Used to warm per-thread state — e.g.
   /// first-touching traversal scratch arenas on each worker's NUMA node
   /// before a timed region. Degrades to serial execution of all indices
-  /// on the caller when invoked from inside a parallel region.
+  /// on the caller when invoked from inside a parallel region or while
+  /// another top-level call is running.
   void warm(const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool (lazily constructed).
@@ -68,7 +71,7 @@ class ThreadPool {
   };
 
   std::vector<std::thread> workers_;
-  std::mutex submit_mutex_;  // one batch in flight at a time
+  std::mutex submit_mutex_;  // held by the one top-level call in flight
   std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;

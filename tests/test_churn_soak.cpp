@@ -507,7 +507,7 @@ TEST(Soak, ShardedDispatchersServeChurnTrafficCertified) {
   const auto built = build_regular_spanner(g, {.seed = 5});
   auto o = small_soak_options();
   o.qps = 8;
-  o.dispatchers = 4;  // waves flow through submit() futures across shards
+  o.dispatchers = 4;  // waves flow through submit() futures
   const auto a = run_soak(g, built.spanner.h, o);
   EXPECT_TRUE(a.ok()) << a.summary();
   EXPECT_EQ(a.query_batches, a.waves_run);
@@ -516,7 +516,7 @@ TEST(Soak, ShardedDispatchersServeChurnTrafficCertified) {
   EXPECT_GT(a.queries_served, 0u);
   EXPECT_GT(a.epochs_adopted, 1u);
 
-  // Shard count must not change what gets served: the invariant already
+  // Dispatcher count must not change what gets served: the invariant already
   // checked every answer against the pinned snapshot; the serve/shed
   // tallies must match the synchronous single-dispatcher run too.
   SoakOptions sync = o;

@@ -9,17 +9,14 @@
 #include "graph/renumber.hpp"
 #include "graph/traversal.hpp"
 #include "persist/checkpoint.hpp"
-#include "serve/query_engine.hpp"
-#include "serve/snapshot.hpp"
 #include "traversal_corpus.hpp"
 #include "util/rng.hpp"
 
 // End-to-end isomorphism property tests for cache-order renumbering: a
 // relabeled graph must be indistinguishable from the original through
 // every layer that can observe it — adjacency, distances, the (α,β)
-// stretch certificate, served answers and route walkability (including
-// across an epoch republish), and persist checkpoints, which must stay in
-// original-ID space no matter what the serving plane does internally.
+// stretch certificate, and persist checkpoints, which stay in original-ID
+// space.
 
 namespace dcs {
 namespace {
@@ -138,96 +135,6 @@ TEST(Renumber, StretchCertificateInvariantUnderRelabeling) {
   }
 }
 
-std::vector<serve::Query> mixed_queries(const Graph& g, Rng& rng,
-                                        std::size_t count) {
-  std::vector<serve::Query> queries;
-  for (std::size_t i = 0; i < count; ++i) {
-    serve::Query q;
-    q.kind = i % 3 == 0 ? serve::QueryKind::kRoute
-                        : serve::QueryKind::kDistance;
-    q.u = static_cast<Vertex>(rng.uniform(g.num_vertices()));
-    q.v = static_cast<Vertex>(rng.uniform(g.num_vertices()));
-    queries.push_back(q);
-  }
-  return queries;
-}
-
-void expect_equivalent_answers(const Graph& h,
-                               std::span<const serve::Query> queries,
-                               std::span<const serve::QueryResult> expect,
-                               std::span<const serve::QueryResult> got) {
-  ASSERT_EQ(expect.size(), got.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].outcome, expect[i].outcome) << "query " << i;
-    ASSERT_EQ(got[i].distance, expect[i].distance)
-        << "query " << i << " u=" << queries[i].u << " v=" << queries[i].v;
-    if (queries[i].kind == serve::QueryKind::kRoute &&
-        got[i].distance != kUnreachable) {
-      // The path itself may differ (tie-breaks on a different labeling)
-      // but it must leave the engine in original IDs: same endpoints,
-      // same optimal length, every hop an edge of h.
-      const Path& p = got[i].path;
-      ASSERT_FALSE(p.empty());
-      EXPECT_EQ(p.front(), queries[i].u);
-      EXPECT_EQ(p.back(), queries[i].v);
-      EXPECT_EQ(path_length(p), path_length(expect[i].path));
-      for (std::size_t k = 0; k + 1 < p.size(); ++k) {
-        ASSERT_TRUE(h.has_edge(p[k], p[k + 1]))
-            << "query " << i << " hop " << k << " not an edge of H";
-      }
-    }
-  }
-}
-
-TEST(Renumber, QueryEngineServesIdenticalAnswersUnderRenumbering) {
-  const Graph h = margulis_expander(13);  // 169 vertices, connected
-  Rng rng(57);
-  const std::vector<serve::Query> queries = mixed_queries(h, rng, 120);
-
-  serve::QueryEngine baseline(h);
-  const std::vector<serve::QueryResult> expect =
-      baseline.serve_batch(queries);
-
-  for (VertexOrder order : {VertexOrder::kDegreeDescending,
-                            VertexOrder::kBfs}) {
-    serve::ServeOptions options;
-    options.renumber = order;
-    serve::QueryEngine engine(h, options);
-    const std::vector<serve::QueryResult> got = engine.serve_batch(queries);
-    expect_equivalent_answers(h, queries, expect, got);
-    // Second batch: cache hits must translate identically too.
-    expect_equivalent_answers(h, queries, expect,
-                              engine.serve_batch(queries));
-  }
-}
-
-TEST(Renumber, QueryEngineStaysInOriginalIdsAcrossEpochRepublish) {
-  const Graph g = margulis_expander(11);  // 121 vertices
-  const Graph h1 = thinned(g);
-  Rng rng(58);
-  const std::vector<serve::Query> queries = mixed_queries(g, rng, 80);
-
-  serve::SnapshotStore plain_store(g, h1);
-  serve::SnapshotStore renum_store(g, h1);
-  serve::QueryEngine baseline(plain_store);
-  serve::ServeOptions options;
-  options.renumber = VertexOrder::kBfs;
-  serve::QueryEngine engine(renum_store, options);
-
-  expect_equivalent_answers(h1, queries, baseline.serve_batch(queries),
-                            engine.serve_batch(queries));
-
-  // Republish with a different topology: the engine must recompute its
-  // internal ordering for the new spanner and keep translating.
-  plain_store.publish(g, g, {});
-  renum_store.publish(g, g, {});
-  const std::vector<serve::QueryResult> expect =
-      baseline.serve_batch(queries);
-  const std::vector<serve::QueryResult> got = engine.serve_batch(queries);
-  for (const serve::QueryResult& r : got) EXPECT_EQ(r.epoch, 2u);
-  expect_equivalent_answers(g, queries, expect, got);
-}
-
 TEST(Renumber, CheckpointRoundTripStaysInOriginalIdSpace) {
   const Graph g = random_regular(130, 16, 9);
   const Graph h = thinned(g);
@@ -245,9 +152,9 @@ TEST(Renumber, CheckpointRoundTripStaysInOriginalIdSpace) {
   std::string error;
   const auto decoded = persist::decode_checkpoint(bytes, &error);
   ASSERT_TRUE(decoded.has_value()) << error;
-  // The serving plane may renumber internally, but persisted state is in
-  // original IDs: the round trip reproduces the exact graphs, and the
-  // relabeled copies are recoverable from them with the permutation alone.
+  // Persisted state is in original IDs: the round trip reproduces the
+  // exact graphs, and the relabeled copies are recoverable from them with
+  // the permutation alone.
   EXPECT_EQ(decoded->graph, g);
   EXPECT_EQ(decoded->spanner, h);
   for (VertexOrder order : {VertexOrder::kDegreeDescending,

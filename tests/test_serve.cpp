@@ -14,6 +14,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -703,49 +704,59 @@ TEST(QueryEngine, ServeBatchInsideParallelRegionStaysCorrect) {
 
 TEST(QueryEngine, EdfDrainsDeadlineQueriesBeforeOlderBacklog) {
   // A heavy substrate (big graph, cache defeated, one-window batches) so
-  // every dispatch pays a real MS-BFS sweep and a backlog builds up.
+  // every dispatch pays a real MS-BFS sweep and a backlog builds up. EDF
+  // is global over the one queue, so it must hold with two dispatchers
+  // draining it too.
   const Graph h = test_graph(20000, 8, 101);
-  ServeOptions options;
-  options.cache_rows = 1;
-  options.batch_window = 64;
-  options.admission.queue_capacity = 0;  // unbounded: nothing shed here
-  QueryEngine engine(h, options);
-  engine.start();
+  for (const std::size_t dispatchers : {1u, 2u}) {
+    SCOPED_TRACE("dispatchers=" + std::to_string(dispatchers));
+    ServeOptions options;
+    options.dispatchers = dispatchers;
+    options.cache_rows = 1;
+    options.batch_window = 64;
+    options.admission.queue_capacity = 0;  // unbounded: nothing shed here
+    QueryEngine engine(h, options);
+    engine.start();
 
-  // Plug: one full window of distinct sources occupies the dispatcher
-  // while everything below enqueues behind it.
-  std::vector<std::future<QueryResult>> plug;
-  for (Vertex u = 0; u < 64; ++u) {
-    plug.push_back(engine.submit({QueryKind::kDistance, u, 0, 0}));
-  }
-  // Backlog: seven windows of no-deadline queries (EDF sorts them last)...
-  std::vector<std::future<QueryResult>> backlog;
-  for (Vertex u = 64; u < 512; ++u) {
-    backlog.push_back(engine.submit({QueryKind::kDistance, u, 1, 0}));
-  }
-  // ...then a late burst that *does* carry deadlines. FIFO would serve it
-  // dead last; EDF must pull it ahead of the whole no-deadline backlog.
-  std::vector<std::future<QueryResult>> tagged;
-  for (Vertex u = 512; u < 528; ++u) {
-    tagged.push_back(
-        engine.submit({QueryKind::kDistance, u, 2, 60'000'000}));
-  }
+    // Plug: one full window of distinct sources occupies the dispatchers
+    // while everything below enqueues behind it.
+    std::vector<std::future<QueryResult>> plug;
+    for (Vertex u = 0; u < 64; ++u) {
+      plug.push_back(engine.submit({QueryKind::kDistance, u, 0, 0}));
+    }
+    // Backlog: thirty windows of no-deadline queries (EDF sorts them
+    // last) — deep enough that two dispatchers cannot drain it while a
+    // producer on a loaded host is still submitting it...
+    std::vector<std::future<QueryResult>> backlog;
+    for (Vertex u = 64; u < 1984; ++u) {
+      backlog.push_back(engine.submit({QueryKind::kDistance, u, 1, 0}));
+    }
+    // ...then a late burst that *does* carry deadlines. Arrival order
+    // would serve it dead last; EDF must pull it ahead of the whole
+    // no-deadline backlog.
+    std::vector<std::future<QueryResult>> tagged;
+    for (Vertex u = 1984; u < 2000; ++u) {
+      tagged.push_back(
+          engine.submit({QueryKind::kDistance, u, 2, 60'000'000}));
+    }
 
-  double tagged_mean = 0.0, backlog_mean = 0.0;
-  for (auto& f : tagged) {
-    const QueryResult r = f.get();
-    EXPECT_EQ(r.outcome, QueryOutcome::kServed);  // 60 s budget: never shed
-    tagged_mean += r.latency_us;
-  }
-  tagged_mean /= static_cast<double>(tagged.size());
-  for (auto& f : backlog) backlog_mean += f.get().latency_us;
-  backlog_mean /= static_cast<double>(backlog.size());
-  for (auto& f : plug) f.get();
-  engine.stop();
+    double tagged_mean = 0.0, backlog_mean = 0.0;
+    for (auto& f : tagged) {
+      const QueryResult r = f.get();
+      EXPECT_EQ(r.outcome, QueryOutcome::kServed);  // 60 s budget: never shed
+      tagged_mean += r.latency_us;
+    }
+    tagged_mean /= static_cast<double>(tagged.size());
+    for (auto& f : backlog) backlog_mean += f.get().latency_us;
+    backlog_mean /= static_cast<double>(backlog.size());
+    for (auto& f : plug) f.get();
+    engine.stop();
 
-  // Submitted last, served early: the deadline class overtook the backlog.
-  EXPECT_LT(tagged_mean, backlog_mean);
-  EXPECT_EQ(engine.stats().shed_deadline, 0u);
+    // Submitted last, served early: the deadline class overtook the
+    // backlog.
+    EXPECT_LT(tagged_mean, backlog_mean);
+    EXPECT_EQ(engine.stats().shed_deadline, 0u);
+  }
 }
 
 TEST(QueryEngine, SnapshotSwapHammerStaysExactPerEpoch) {
@@ -818,7 +829,7 @@ TEST(QueryEngine, SnapshotSwapHammerStaysExactPerEpoch) {
   EXPECT_GE(engine.stats().epochs_adopted, 2u);
 }
 
-// --- sharded dispatcher ----------------------------------------------------
+// --- dispatchers -----------------------------------------------------------
 
 TEST(Admission, EdfSelectMatchesStableSortReference) {
   // edf_select replaces a full stable_sort of the backlog; the contract is
@@ -853,9 +864,9 @@ TEST(Admission, EdfSelectMatchesStableSortReference) {
 }
 
 TEST(QueryEngine, SubmitOnUnstartedEngineShedsShutdown) {
-  // The old engine aborted the whole process here (DCS_REQUIRE on
-  // running_); the contract now is a resolved future with a structured
-  // terminal outcome.
+  // The old engine aborted the whole process here (a DCS_REQUIRE that the
+  // engine was running); the contract now is a resolved future with a
+  // structured terminal outcome.
   const Graph h = test_graph(64, 4, 83);
   QueryEngine engine(h);
   QueryResult r = engine.submit({QueryKind::kDistance, 1, 2, 0}).get();
@@ -910,7 +921,8 @@ TEST(QueryEngine, ShutdownRaceShedsInsteadOfAborting) {
     });
   }
   // Start/stop churn while the producers run: each cycle opens a fresh
-  // race window between accepting_ falling and the dispatchers exiting.
+  // race window between the engine leaving kRunning and the dispatchers
+  // exiting.
   for (int cycle = 0; cycle < 12; ++cycle) {
     engine.start();
     std::this_thread::sleep_for(std::chrono::microseconds(500));
@@ -933,17 +945,21 @@ TEST(QueryEngine, ShutdownRaceShedsInsteadOfAborting) {
 }
 
 TEST(QueryEngine, IdleSingleDispatcherStartStopCyclesDoNotHang) {
-  // Regression: stop() used to store stopping_ and notify without passing
-  // through the shard mutex, so the notify could land between the single
-  // dispatcher's predicate check and its unbounded cv.wait() and be lost —
-  // the dispatcher slept forever and stop() deadlocked in join(). Idle
-  // cycles (no producers ever wake the cv) keep the dispatcher in the
+  // Regression: stop() used to store its stop flag and notify without
+  // passing through the queue mutex, so the notify could land between a
+  // dispatcher's predicate check and its cv.wait() and be lost — the
+  // dispatcher slept forever and stop() deadlocked in join(). Idle cycles
+  // (no producers ever wake the cv) keep every dispatcher in the
   // predicate-check/wait entry window stop() has to race.
   const Graph h = test_graph(64, 4, 83);
-  QueryEngine engine(h);  // dispatchers = 1: the unbounded-wait path
-  for (int cycle = 0; cycle < 200; ++cycle) {
-    engine.start();
-    engine.stop();
+  for (const std::size_t dispatchers : {1u, 4u}) {
+    ServeOptions options;
+    options.dispatchers = dispatchers;
+    QueryEngine engine(h, options);
+    for (int cycle = 0; cycle < 200; ++cycle) {
+      engine.start();
+      engine.stop();
+    }
   }
   SUCCEED();
 }
@@ -951,7 +967,7 @@ TEST(QueryEngine, IdleSingleDispatcherStartStopCyclesDoNotHang) {
 namespace {
 
 /// Drives `clients` seeded producer threads through an engine configured
-/// with `dispatchers` shards and returns one order-sensitive answer
+/// with `dispatchers` dispatchers and returns one order-sensitive answer
 /// checksum per client (distance and route answers folded in submission
 /// order). Identical streams must produce identical checksums regardless
 /// of the dispatcher count.
@@ -1001,19 +1017,18 @@ std::vector<std::uint64_t> run_dispatcher_corpus(const Graph& h,
 }  // namespace
 
 TEST(QueryEngine, MultiDispatcherMatchesSingleDispatcherChecksums) {
-  // Answer-equivalence across the sharding refactor: the same seeded
-  // client streams produce checksum-identical answers at dispatchers=1
-  // and dispatchers=4, with exact conservation at both.
+  // Answer-equivalence across dispatcher counts: the same seeded client
+  // streams produce checksum-identical answers at dispatchers=1 and
+  // dispatchers=4, with exact conservation at both.
   const Graph h = test_graph(512, 6, 73);
   const auto single = run_dispatcher_corpus(h, 1, 4, 150);
-  const auto sharded = run_dispatcher_corpus(h, 4, 4, 150);
-  EXPECT_EQ(single, sharded);
+  const auto multi = run_dispatcher_corpus(h, 4, 4, 150);
+  EXPECT_EQ(single, multi);
 }
 
 TEST(QueryEngine, MultiDispatcherSaturationKeepsGlobalConservation) {
-  // The admission bound is one global reservation across shards: four
-  // dispatchers against a 4-deep queue must still shed at admission and
-  // account every query exactly once.
+  // Four dispatchers against a 4-deep queue must still shed at admission
+  // and account every query exactly once.
   const Graph h = test_graph(512, 8, 41);
   ServeOptions options;
   options.dispatchers = 4;
@@ -1056,47 +1071,37 @@ TEST(QueryEngine, MultiDispatcherSaturationKeepsGlobalConservation) {
   EXPECT_GT(s.shed_admission, 0u);
 }
 
-TEST(QueryEngine, HashRoutedSkewIsRebalancedByStealing) {
-  // Source-affine hash routing concentrates a single-source flood on one
-  // shard; the other shard must steal from it instead of idling. The test
-  // replicates the engine's documented splitmix64 endpoint hash to build
-  // a stream that provably lands on one shard.
-  const auto mix = [](std::uint64_t x) {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
+TEST(QueryEngine, SharedQueueBacklogIsServedByEveryDispatcher) {
+  // No dispatcher idles while queries wait: one that drains a window and
+  // leaves work behind wakes a sibling. A distinct-source backlog, where
+  // every source pays a real sweep, must be served by both dispatchers.
   const Graph h = test_graph(20000, 8, 103);
   ServeOptions options;
   options.dispatchers = 2;
-  options.routing = serve::ShardRouting::kHash;
-  options.cache_rows = 1;  // every source pays a real sweep
+  options.cache_rows = 1;
   options.batch_window = 16;
   options.admission.queue_capacity = 0;
   QueryEngine engine(h, options);
   engine.start();
   std::vector<std::future<QueryResult>> futures;
-  Vertex u = 0;
-  for (std::size_t i = 0; i < 600; ++i) {
-    // Distinct sources, all hashing to shard 0 of 2.
-    while (mix(u) % 2 != 0) ++u;
+  for (Vertex u = 0; u < 600; ++u) {
     futures.push_back(engine.submit(
-        {QueryKind::kDistance, u, static_cast<Vertex>(i % 100), 0}));
-    ++u;
+        {QueryKind::kDistance, u, static_cast<Vertex>(u % 100), 0}));
   }
+  std::set<std::uint32_t> dispatchers;
   for (auto& f : futures) {
-    EXPECT_EQ(f.get().outcome, QueryOutcome::kServed);
+    const QueryResult r = f.get();
+    EXPECT_EQ(r.outcome, QueryOutcome::kServed);
+    dispatchers.insert(r.dispatcher);
   }
   engine.stop();
-  const auto s = engine.stats();
-  EXPECT_EQ(s.served, 600u);
-  EXPECT_GT(s.steals, 0u);
-  EXPECT_GT(s.stolen_queries, 0u);
+  EXPECT_EQ(engine.stats().served, 600u);
+  EXPECT_EQ(dispatchers, (std::set<std::uint32_t>{1, 2}));
 }
 
 TEST(QueryEngine, SnapshotSwapHammerMultiDispatcher) {
   // The dispatchers=4 rerun of the snapshot-swap hammer, driven through
-  // submit() so all four shards race epoch adoption: answers must stay
+  // submit() so all four dispatchers race epoch adoption: answers must stay
   // exact on the epoch they report, conservation exact, and — the
   // shared-pin guarantee — the store pinned at most once per published
   // epoch, not once per batch per dispatcher.

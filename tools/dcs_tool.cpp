@@ -995,7 +995,7 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--dispatchers=", 0) == 0) {
       const auto n = parse_u64_strict(a.substr(14));
       if (!n || *n == 0) {
-        usage("--dispatchers needs a positive shard count: " +
+        usage("--dispatchers needs a positive dispatcher count: " +
               std::string(a));
       }
       g_dispatchers = *n;

@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dcs {
@@ -93,15 +94,33 @@ RegularSpannerResult build_regular_spanner(
   std::vector<std::uint8_t> verdict(removed.size(), 0);
   {
     DCS_TRACE_SPAN("support_reinsert_loop");
-    // In the paper's Δ ≥ n^{2/3} regime both oracles go word-parallel via
-    // the dense adjacency bitmap; sparse inputs stay on the sorted merge.
+    // Dense inputs get word-parallel oracles via the adjacency bitmap;
+    // sparse inputs stay on the sorted merge.
     const SupportOracle support(g);
     const SupportOracle sampled_support(result.sampled);
     const std::size_t a = result.support_a;
     const std::size_t b = result.support_b;
+    // Edge by edge, the Ê test makes at least b base tests per removed
+    // edge. Once that is at least n², test every base once instead: with
+    // S the bases of ≥ a+1 routers, the a-supported extensions (v,z) of
+    // (u,v) toward v are exactly the bits of S_u & N(v) (S_u has no bit u).
+    const std::size_t n = g.num_vertices();
+    const AdjacencyBitmap& adjacency = support.bitmap();
+    const AdjacencyBitmap bases =
+        support.bitmapped() && n * n <= removed.size() * b
+            ? adjacency.supported_bases(a + 1)
+            : AdjacencyBitmap{};
+    auto supported_toward = [&](Vertex u, Vertex v) {
+      return simd::and_popcount_at_least(bases.row(u).data(),
+                                         adjacency.row(v).data(),
+                                         adjacency.words_per_row(), b);
+    };
     parallel_for(0, removed.size(), [&](std::size_t i) {
       const Edge e = removed[i];
-      const bool supported = support.is_ab_supported(e, a, b);
+      const bool supported =
+          bases.empty()
+              ? support.is_ab_supported(e, a, b)
+              : supported_toward(e.u, e.v) || supported_toward(e.v, e.u);
       if (!supported) {
         if (options.reinsert_unsupported) verdict[i] = 1;
         return;

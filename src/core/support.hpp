@@ -63,11 +63,12 @@ std::vector<Vertex> random_short_replacement(const Graph& h, Vertex u,
                                              bool prefer_3detour = true);
 
 /// Accelerated support queries over one graph. Construction builds the
-/// dense adjacency bitmap when the density justifies it (exactly the
-/// paper's Δ ≥ n^{2/3} regime, see AdjacencyBitmap::worthwhile); every
-/// query then runs as a word-parallel popcount loop, falling back to the
-/// scalar sorted-merge reference functions above on sparse graphs. The
-/// answers are identical either way (pinned by tests/test_traversal.cpp).
+/// dense adjacency bitmap when the density justifies it
+/// (AdjacencyBitmap::worthwhile: average degree ≥ n/128, so Δ ≥ 16 at
+/// n = 2048, well below the paper's Δ ≥ n^{2/3} ≈ 161); every query then
+/// runs as a word-parallel popcount loop, falling back to the scalar
+/// sorted-merge reference functions above on sparse graphs. The answers
+/// are identical either way (pinned by tests/test_traversal.cpp).
 ///
 /// The oracle borrows `g`; it must outlive the oracle. Queries are const
 /// and safe to issue concurrently from many threads.
@@ -78,6 +79,9 @@ class SupportOracle {
 
   const Graph& graph() const { return g_; }
   bool bitmapped() const { return !bitmap_.empty(); }
+
+  /// The dense adjacency bitmap; empty unless bitmapped().
+  const AdjacencyBitmap& bitmap() const { return bitmap_; }
 
   /// |N(u) ∩ N(z)|, cf. ::base_support.
   std::size_t base_support(Vertex u, Vertex z) const;

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dcs {
 
@@ -12,12 +13,6 @@ namespace {
 obs::Counter& builds_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("bitmap.builds");
-  return c;
-}
-
-obs::Counter& words_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("bitmap.words_scanned");
   return c;
 }
 
@@ -54,23 +49,43 @@ std::size_t AdjacencyBitmap::common_count(Vertex u, Vertex v) const {
   const std::uint64_t* b = bits_.data() + v * words_;
   // The whole row is always consumed, so this is the pure and-popcount
   // kernel — runtime-dispatched (AVX2 when available). has_common and
-  // common_into stay scalar: the former early-exits (its words_scanned
-  // accounting depends on where it stopped), the latter materializes.
-  const std::size_t count = simd::and_popcount(a, b, words_);
-  words_counter().inc(words_);
-  return count;
+  // common_into stay scalar: the former stops at the first non-zero word,
+  // the latter materializes.
+  return simd::and_popcount(a, b, words_);
+}
+
+bool AdjacencyBitmap::common_at_least(Vertex u, Vertex v,
+                                      std::size_t k) const {
+  return simd::and_popcount_at_least(bits_.data() + u * words_,
+                                     bits_.data() + v * words_, words_, k);
+}
+
+AdjacencyBitmap AdjacencyBitmap::supported_bases(std::size_t k) const {
+  AdjacencyBitmap bases;
+  bases.n_ = n_;
+  bases.words_ = words_;
+  bases.bits_.assign(bits_.size(), 0);
+  // Each worker writes only the rows of its own range.
+  parallel_chunks(0, n_, [&](std::size_t lo, std::size_t hi, std::size_t) {
+    for (std::size_t u = lo; u < hi; ++u) {
+      std::uint64_t* row = bases.bits_.data() + u * words_;
+      for (std::size_t z = 0; z < n_; ++z) {
+        if (z != u && common_at_least(static_cast<Vertex>(u),
+                                      static_cast<Vertex>(z), k)) {
+          row[z >> 6] |= 1ull << (z & 63);
+        }
+      }
+    }
+  });
+  return bases;
 }
 
 bool AdjacencyBitmap::has_common(Vertex u, Vertex v) const {
   const std::uint64_t* a = bits_.data() + u * words_;
   const std::uint64_t* b = bits_.data() + v * words_;
   for (std::size_t w = 0; w < words_; ++w) {
-    if ((a[w] & b[w]) != 0) {
-      words_counter().inc(w + 1);
-      return true;
-    }
+    if ((a[w] & b[w]) != 0) return true;
   }
-  words_counter().inc(words_);
   return false;
 }
 
@@ -87,7 +102,6 @@ std::size_t AdjacencyBitmap::common_into(Vertex u, Vertex v,
       both &= both - 1;
     }
   }
-  words_counter().inc(words_);
   return out.size();
 }
 

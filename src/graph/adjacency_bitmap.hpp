@@ -11,8 +11,8 @@
 // graph and only when the density justifies it (see worthwhile()); every
 // consumer keeps the sorted-merge path as the scalar fallback.
 //
-// Obs: bitmap.builds counts constructions, bitmap.words_scanned the words
-// touched by intersection queries (aggregated per query, not per word).
+// Obs: bitmap.builds counts constructions from a graph. Queries count
+// nothing: they run millions of times per build from every pool worker.
 
 #include <cstdint>
 #include <span>
@@ -55,6 +55,14 @@ class AdjacencyBitmap {
 
   /// |N(u) ∩ N(v)| via a word-parallel popcount loop.
   std::size_t common_count(Vertex u, Vertex v) const;
+
+  /// common_count(u, v) >= k, stopping once k common neighbors are seen.
+  bool common_at_least(Vertex u, Vertex v, std::size_t k) const;
+
+  /// The bases with at least k routers (Section 4): row u has bit z iff
+  /// z ≠ u and |N(u) ∩ N(z)| ≥ k. n² common_at_least tests, filled in
+  /// parallel over rows.
+  AdjacencyBitmap supported_bases(std::size_t k) const;
 
   /// True iff N(u) ∩ N(v) ≠ ∅ (early-exits on the first non-zero word).
   bool has_common(Vertex u, Vertex v) const;

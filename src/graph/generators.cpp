@@ -1,9 +1,11 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <utility>
 
+#include "graph/adjacency_bitmap.hpp"
 #include "util/check.hpp"
 
 namespace dcs {
@@ -79,28 +81,57 @@ Graph erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
   return Graph::from_edges(n, edges);
 }
 
-Graph random_regular(std::size_t n, std::size_t delta, std::uint64_t seed) {
-  DCS_REQUIRE(n % 2 == 0, "random_regular requires an even vertex count");
-  DCS_REQUIRE(delta >= 1 && delta < n,
-              "degree must be in [1, n) for a simple regular graph");
-  if (delta == n - 1) return complete_graph(n);
-  if (delta > n / 2) {
-    // Dense regime: the matching-union repair loop degenerates as the
-    // remaining non-edges thin out. Build the sparse complement instead —
-    // the complement of a (n-1-Δ)-regular graph is Δ-regular.
-    const Graph co = random_regular(n, n - 1 - delta, seed);
-    std::vector<Edge> edges;
-    edges.reserve(n * delta / 2);
-    for (Vertex u = 0; u < n; ++u) {
-      for (Vertex v = u + 1; v < n; ++v) {
-        if (!co.has_edge(u, v)) edges.push_back(Edge{u, v});
+namespace {
+
+/// Edge membership as an n × n bit matrix: the canonical edge (u,v), u < v,
+/// is bit v of row u. One bit per vertex pair instead of one hashed node
+/// per edge, for graphs dense enough that n²/8 bytes is the smaller.
+class EdgeMatrix {
+ public:
+  explicit EdgeMatrix(std::size_t n)
+      : n_(n), words_((n + 63) / 64), bits_(n * words_, 0) {}
+
+  bool contains(Vertex u, Vertex v) const {
+    const Edge e = canonical(u, v);
+    return (bits_[e.u * words_ + (e.v >> 6)] >> (e.v & 63)) & 1;
+  }
+  void insert(Vertex u, Vertex v) {
+    const Edge e = canonical(u, v);
+    bits_[e.u * words_ + (e.v >> 6)] |= 1ull << (e.v & 63);
+  }
+  void erase(Edge e) {
+    e = canonical(e);
+    bits_[e.u * words_ + (e.v >> 6)] &= ~(1ull << (e.v & 63));
+  }
+
+  /// The edges in canonical (u,v) order.
+  std::vector<Edge> to_vector() const {
+    std::vector<Edge> out;
+    for (std::size_t u = 0; u < n_; ++u) {
+      const std::uint64_t* row = bits_.data() + u * words_;
+      for (std::size_t w = 0; w < words_; ++w) {
+        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+          const std::size_t v =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          out.push_back(Edge{static_cast<Vertex>(u), static_cast<Vertex>(v)});
+        }
       }
     }
-    return Graph::from_edges(n, edges);
+    return out;
   }
-  Rng rng(seed);
-  EdgeSet edges;
 
+ private:
+  std::size_t n_;
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;
+};
+
+/// Adds to `edges` the union of `delta` random perfect matchings on n
+/// vertices, repairing duplicate pairs by 2-swaps. The draws depend only on
+/// the answers of `edges`, so every Set type gives the same graph.
+template <class Set>
+void add_random_matchings(std::size_t n, std::size_t delta, Rng& rng,
+                          Set& edges) {
   std::vector<Vertex> perm(n);
   std::iota(perm.begin(), perm.end(), Vertex{0});
 
@@ -158,8 +189,40 @@ Graph random_regular(std::size_t n, std::size_t delta, std::uint64_t seed) {
       committed.push_back(p2);
     }
   }
+}
 
-  const auto list = edges.to_vector();
+}  // namespace
+
+Graph random_regular(std::size_t n, std::size_t delta, std::uint64_t seed) {
+  DCS_REQUIRE(n % 2 == 0, "random_regular requires an even vertex count");
+  DCS_REQUIRE(delta >= 1 && delta < n,
+              "degree must be in [1, n) for a simple regular graph");
+  if (delta == n - 1) return complete_graph(n);
+  if (delta > n / 2) {
+    // Dense regime: the matching-union repair loop degenerates as the
+    // remaining non-edges thin out. Build the sparse complement instead —
+    // the complement of a (n-1-Δ)-regular graph is Δ-regular.
+    const Graph co = random_regular(n, n - 1 - delta, seed);
+    std::vector<Edge> edges;
+    edges.reserve(n * delta / 2);
+    for (Vertex u = 0; u < n; ++u) {
+      for (Vertex v = u + 1; v < n; ++v) {
+        if (!co.has_edge(u, v)) edges.push_back(Edge{u, v});
+      }
+    }
+    return Graph::from_edges(n, edges);
+  }
+  Rng rng(seed);
+  std::vector<Edge> list;
+  if (AdjacencyBitmap::worthwhile(n, n * delta / 2)) {
+    EdgeMatrix edges(n);
+    add_random_matchings(n, delta, rng, edges);
+    list = edges.to_vector();
+  } else {
+    EdgeSet edges;
+    add_random_matchings(n, delta, rng, edges);
+    list = edges.to_vector();
+  }
   Graph g = Graph::from_edges(n, list);
   DCS_CHECK(g.is_regular() && g.min_degree() == delta,
             "random_regular produced a non-regular graph");

@@ -27,16 +27,12 @@ Graph Graph::from_edges(std::size_t n, std::span<const Edge> edges) {
   }
   g.adjacency_.resize(2 * canon.size());
   std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  // The (u,v)-sorted canonical list fills each adjacency list in
+  // increasing order: x's neighbors below x arrive with the edges (u,x),
+  // sorted by u, before any edge (x,v), which are sorted by v.
   for (const auto& e : canon) {
     g.adjacency_[cursor[e.u]++] = e.v;
     g.adjacency_[cursor[e.v]++] = e.u;
-  }
-  // Canonical edge order already emits each adjacency list in increasing
-  // order for the second endpoint but not the first; sort to guarantee it.
-  for (std::size_t v = 0; v < n; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
   }
   return g;
 }

@@ -71,6 +71,16 @@ std::size_t and_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
   return count;
 }
 
+bool and_popcount_at_least_scalar(const std::uint64_t* a,
+                                  const std::uint64_t* b, std::size_t words,
+                                  std::size_t k) {
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < words && count < k; ++w) {
+    count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
+  }
+  return count >= k;
+}
+
 bool any_bit_of_scalar(const std::uint32_t* vs, std::size_t count,
                        const std::uint64_t* bits) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -101,6 +111,16 @@ std::size_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
   if (avx2_active()) return detail::and_popcount_avx2(a, b, words);
 #endif
   return detail::and_popcount_scalar(a, b, words);
+}
+
+bool and_popcount_at_least(const std::uint64_t* a, const std::uint64_t* b,
+                           std::size_t words, std::size_t k) {
+#ifdef DCS_HAVE_AVX2
+  if (avx2_active()) {
+    return detail::and_popcount_at_least_avx2(a, b, words, k);
+  }
+#endif
+  return detail::and_popcount_at_least_scalar(a, b, words, k);
 }
 
 bool any_bit_of(const std::uint32_t* vs, std::size_t count,

@@ -3,13 +3,13 @@
 // Runtime-dispatched SIMD kernels for the traversal core.
 //
 // Three hot loops dominate the traversal engine's cycle budget: the
-// word-parallel intersection popcount behind the support oracle, the
-// bottom-up parent search of direction-optimizing BFS, and the 64-wide
-// frontier merge of multi-source BFS. Each has exactly one scalar
-// reference implementation here and (when the binary was configured with
-// DCS_ENABLE_AVX2) one AVX2 implementation in util/simd_avx2.cpp,
-// compiled as a separately-flagged translation unit so the rest of the
-// binary stays portable.
+// word-parallel intersection popcount behind the support oracle (counted
+// in full, or only up to a threshold), the bottom-up parent search of
+// direction-optimizing BFS, and the 64-wide frontier merge of multi-source
+// BFS. Each kernel has exactly one scalar reference implementation here
+// and (when the binary was configured with DCS_ENABLE_AVX2) one AVX2
+// implementation in util/simd_avx2.cpp, compiled as a separately-flagged
+// translation unit so the rest of the binary stays portable.
 //
 // Dispatch is resolved at runtime: the AVX2 path is taken only when it
 // was compiled in AND the executing CPU reports AVX2 AND the
@@ -60,6 +60,13 @@ inline bool avx2_active() { return active_tier() == DispatchTier::kAvx2; }
 std::size_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t words);
 
+/// and_popcount(a, b, words) >= k, stopping as soon as the running count
+/// reaches k. The support threshold test (AdjacencyBitmap::common_at_least
+/// and the Ê test of Algorithm 1), where the answer is usually settled in
+/// the first few words.
+bool and_popcount_at_least(const std::uint64_t* a, const std::uint64_t* b,
+                           std::size_t words, std::size_t k);
+
 /// True iff any of the `count` 32-bit vertex ids in `vs` has its bit set
 /// in the bitset `bits` (bit v lives in bits[v >> 6]). The bottom-up
 /// parent search: "does any neighbor of v sit on the frontier?".
@@ -81,6 +88,9 @@ namespace detail {
 // definition of each kernel and the forced-scalar/sanitizer path).
 std::size_t and_popcount_scalar(const std::uint64_t* a,
                                 const std::uint64_t* b, std::size_t words);
+bool and_popcount_at_least_scalar(const std::uint64_t* a,
+                                  const std::uint64_t* b, std::size_t words,
+                                  std::size_t k);
 bool any_bit_of_scalar(const std::uint32_t* vs, std::size_t count,
                        const std::uint64_t* bits);
 void ms_propagate_scalar(const std::uint32_t* vs, std::size_t count,
@@ -93,6 +103,8 @@ void ms_propagate_scalar(const std::uint32_t* vs, std::size_t count,
 // ever called after the runtime cpuid check).
 std::size_t and_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t words);
+bool and_popcount_at_least_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                                std::size_t words, std::size_t k);
 bool any_bit_of_avx2(const std::uint32_t* vs, std::size_t count,
                      const std::uint64_t* bits);
 void ms_propagate_avx2(const std::uint32_t* vs, std::size_t count,

@@ -63,6 +63,33 @@ std::size_t and_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
   return count;
 }
 
+bool and_popcount_at_least_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                                std::size_t words, std::size_t k) {
+  // The blocks of and_popcount_avx2, with the running count reduced and
+  // compared with k after each 8-word block: support thresholds are small
+  // next to the expected intersection, so most calls stop after one block.
+  std::size_t count = 0;
+  std::size_t w = 0;
+  for (; w + 8 <= words && count < k; w += 8) {
+    const __m256i x0 = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
+    const __m256i x1 = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w + 4)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w + 4)));
+    const __m256i block =
+        _mm256_add_epi64(popcount_epi64(x0), popcount_epi64(x1));
+    const __m128i half = _mm_add_epi64(_mm256_castsi256_si128(block),
+                                       _mm256_extracti128_si256(block, 1));
+    count += static_cast<std::size_t>(_mm_cvtsi128_si64(half)) +
+             static_cast<std::size_t>(_mm_extract_epi64(half, 1));
+  }
+  for (; w < words && count < k; ++w) {
+    count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
+  }
+  return count >= k;
+}
+
 bool any_bit_of_avx2(const std::uint32_t* vs, std::size_t count,
                      const std::uint64_t* bits) {
   // View the bitset as 32-bit words (little-endian x86: bit v of the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "graph/bfs.hpp"
@@ -87,6 +88,39 @@ TEST(Generators, RandomRegularDeterministicPerSeed) {
   const Graph c = random_regular(60, 10, 8);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+/// FNV-1a over the canonical edge list.
+std::uint64_t edge_digest(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Edge& e : g.edges()) {
+    for (Vertex x : {e.u, e.v}) {
+      h ^= x;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(Generators, RandomRegularGoldenDigests) {
+  // Pins the RNG draw sequence on both membership structures: the first
+  // three inputs track edges in a bit matrix (AdjacencyBitmap::worthwhile),
+  // the last one in a hash set.
+  const struct {
+    std::size_t n;
+    std::size_t delta;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  } cases[] = {
+      {2048, 320, 1, 0x89e870413cdbc1bdull},
+      {256, 80, 7, 0x682c86d20331b4adull},
+      {512, 64, 7, 0xcebc62253ac8160bull},
+      {20000, 16, 1, 0xd3d1bc5dc7b1156dull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(edge_digest(random_regular(c.n, c.delta, c.seed)), c.digest)
+        << "n=" << c.n << " delta=" << c.delta << " seed=" << c.seed;
+  }
 }
 
 TEST(Generators, RandomRegularRejectsBadArguments) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/regular_spanner.hpp"
 #include "core/support.hpp"
@@ -15,6 +16,22 @@ RegularSpannerOptions default_options(std::uint64_t seed = 1) {
   RegularSpannerOptions o;
   o.seed = seed;
   return o;
+}
+
+/// Algorithm 1's H rebuilt edge by edge from G' and the per-edge oracle
+/// tests, whichever way build_regular_spanner evaluated the Ê test.
+Graph per_edge_spanner(const Graph& g, const RegularSpannerResult& built) {
+  const SupportOracle support(g);
+  const SupportOracle sampled_support(built.sampled);
+  std::vector<Edge> kept;
+  for (Edge e : g.edges()) {
+    if (built.sampled.has_edge(e.u, e.v) ||
+        !support.is_ab_supported(e, built.support_a, built.support_b) ||
+        !sampled_support.has_short_replacement(e.u, e.v)) {
+      kept.push_back(e);
+    }
+  }
+  return Graph::from_edges(g.num_vertices(), kept);
 }
 
 TEST(RegularSpanner, RequiresRegularInput) {
@@ -121,6 +138,35 @@ TEST(RegularSpanner, UndetouredReinsertionKeepsSupportedEdgesRoutable) {
       EXPECT_TRUE(has_short_replacement(result.spanner.h, e.u, e.v))
           << "edge (" << e.u << "," << e.v << ")";
     }
+  }
+}
+
+TEST(RegularSpanner, EhatTestMatchesPerEdgeOracleOnBothSides) {
+  // Dense inputs with n² ≤ |removed|·b test every base once through the
+  // supported-base bitmap; the others test each removed edge on its own.
+  // Each input here really fails the Ê test, so a wrong bit shows in H.
+  RegularSpannerOptions strict;
+  strict.support_a_factor = 3.0;
+  strict.support_b_factor = 0.5;
+  const struct {
+    const char* name;
+    Graph g;
+    RegularSpannerOptions options;
+    bool all_bases;  // n² ≤ |removed|·b
+  } cases[] = {
+      {"clique_matching_graph(512)", clique_matching_graph(512), {}, true},
+      {"random_regular(512, 128, 7)", random_regular(512, 128, 7), strict,
+       true},
+      {"ring_of_cliques(16, 127)", ring_of_cliques(16, 127), {}, false},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(SupportOracle(c.g).bitmapped()) << c.name;
+    const auto built = build_regular_spanner(c.g, c.options);
+    const std::size_t n = c.g.num_vertices();
+    const std::size_t removed = c.g.num_edges() - built.sampled.num_edges();
+    EXPECT_EQ(n * n <= removed * built.support_b, c.all_bases) << c.name;
+    EXPECT_GT(built.reinserted_unsupported, 0u) << c.name;
+    EXPECT_EQ(built.spanner.h, per_edge_spanner(c.g, built)) << c.name;
   }
 }
 

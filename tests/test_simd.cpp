@@ -65,6 +65,31 @@ TEST(Simd, AndPopcountMatchesScalarTier) {
   }
 }
 
+TEST(Simd, AndPopcountAtLeastMatchesScalarTier) {
+  ForceScalarGuard guard;
+  Rng rng(106);
+  // Word counts straddle the AVX2 body's 8-word blocks and its scalar tail;
+  // thresholds include the exact count, where the last word decides.
+  for (std::size_t words : {1u, 3u, 4u, 7u, 8u, 9u, 32u, 33u}) {
+    std::vector<std::uint64_t> a(words);
+    std::vector<std::uint64_t> b(words);
+    for (auto& w : a) w = rng();
+    for (auto& w : b) w = rng();
+    const std::size_t count =
+        simd::detail::and_popcount_scalar(a.data(), b.data(), words);
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, count, count + 1}) {
+      simd::set_force_scalar(true);
+      const bool scalar =
+          simd::and_popcount_at_least(a.data(), b.data(), words, k);
+      EXPECT_EQ(scalar, count >= k) << "words=" << words << " k=" << k;
+      simd::set_force_scalar(false);
+      EXPECT_EQ(simd::and_popcount_at_least(a.data(), b.data(), words, k),
+                scalar)
+          << "words=" << words << " k=" << k;
+    }
+  }
+}
+
 TEST(Simd, AnyBitOfMatchesScalarTier) {
   ForceScalarGuard guard;
   Rng rng(102);

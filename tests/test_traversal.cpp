@@ -140,10 +140,20 @@ TEST(AdjacencyBitmap, MatchesScalarSupportOnCorpus) {
       EXPECT_EQ(bm.test(u, v), g.has_edge(u, v));
       if (u == v) continue;
       const auto reference = common_neighbors(g, u, v);
-      EXPECT_EQ(bm.common_count(u, v), base_support(g, u, v));
+      const std::size_t support = base_support(g, u, v);
+      EXPECT_EQ(bm.common_count(u, v), support);
+      EXPECT_TRUE(bm.common_at_least(u, v, support));
+      EXPECT_FALSE(bm.common_at_least(u, v, support + 1));
       EXPECT_EQ(bm.has_common(u, v), !reference.empty());
       bm.common_into(u, v, out);
       EXPECT_EQ(out, reference);
+    }
+    const AdjacencyBitmap bases = bm.supported_bases(2);
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      for (Vertex z = 0; z < g.num_vertices(); ++z) {
+        ASSERT_EQ(bases.test(u, z), u != z && base_support(g, u, z) >= 2)
+            << "n=" << g.num_vertices() << " u=" << u << " z=" << z;
+      }
     }
   }
 }

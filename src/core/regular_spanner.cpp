@@ -95,19 +95,23 @@ RegularSpannerResult build_regular_spanner(
   {
     DCS_TRACE_SPAN("support_reinsert_loop");
     // Dense inputs get word-parallel oracles via the adjacency bitmap;
-    // sparse inputs stay on the sorted merge.
+    // sparse inputs stay on the sorted merge. Step 3 asks "d_G′(u,v) ≤ 3?"
+    // of every supported removed edge, which the radius-2 balls of G′
+    // answer with one row AND each once there are enough such edges.
     const SupportOracle support(g);
-    const SupportOracle sampled_support(result.sampled);
+    const ShortDistanceOracle sampled_near(
+        result.sampled, options.reinsert_undetoured ? removed.size() : 0);
     const std::size_t a = result.support_a;
     const std::size_t b = result.support_b;
     // Edge by edge, the Ê test makes at least b base tests per removed
-    // edge. Once that is at least n², test every base once instead: with
-    // S the bases of ≥ a+1 routers, the a-supported extensions (v,z) of
-    // (u,v) toward v are exactly the bits of S_u & N(v) (S_u has no bit u).
+    // edge. Once that is at least n²/2, test every unordered base once
+    // instead: with S the bases of ≥ a+1 routers, the a-supported
+    // extensions (v,z) of (u,v) toward v are exactly the bits of S_u & N(v)
+    // (S_u has no bit u).
     const std::size_t n = g.num_vertices();
     const AdjacencyBitmap& adjacency = support.bitmap();
     const AdjacencyBitmap bases =
-        support.bitmapped() && n * n <= removed.size() * b
+        support.bitmapped() && n * n <= 2 * removed.size() * b
             ? adjacency.supported_bases(a + 1)
             : AdjacencyBitmap{};
     auto supported_toward = [&](Vertex u, Vertex v) {
@@ -126,23 +130,28 @@ RegularSpannerResult build_regular_spanner(
         return;
       }
       if (options.reinsert_undetoured &&
-          !sampled_support.has_short_replacement(e.u, e.v)) {
+          !sampled_near.has_short_replacement(e.u, e.v)) {
         verdict[i] = 2;
       }
     });
   }
 
   DCS_TRACE_SPAN("assemble");
-  std::vector<Edge> spanner_edges = sampled;
+  std::vector<Edge> reinserted;
   for (std::size_t i = 0; i < removed.size(); ++i) {
     if (verdict[i] == 1) {
-      spanner_edges.push_back(removed[i]);
+      reinserted.push_back(removed[i]);
       ++result.reinserted_unsupported;
     } else if (verdict[i] == 2) {
-      spanner_edges.push_back(removed[i]);
+      reinserted.push_back(removed[i]);
       ++result.reinserted_undetoured;
     }
   }
+  // Both lists are sublists of G's canonical edge list, so their merge is
+  // canonical too and from_edges need not sort it.
+  std::vector<Edge> spanner_edges(sampled.size() + reinserted.size());
+  std::merge(sampled.begin(), sampled.end(), reinserted.begin(),
+             reinserted.end(), spanner_edges.begin());
 
   result.spanner.h = Graph::from_edges(g.num_vertices(), spanner_edges);
   auto& stats = result.spanner.stats;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/simd.hpp"
 
 namespace dcs {
 
@@ -139,25 +140,50 @@ bool SupportOracle::is_ab_supported(Edge e, std::size_t a,
          is_ab_supported_toward(e.v, e.u, a, b);
 }
 
-bool SupportOracle::has_short_replacement(Vertex u, Vertex v) const {
-  if (bitmap_.empty()) return dcs::has_short_replacement(g_, u, v);
-  if (bitmap_.test(u, v)) return true;
-  if (bitmap_.has_common(u, v)) return true;
-  // 3-detour u–x–z–v: since (u,v) ∉ E and x ∈ N(u), the router x can never
-  // be v here, so any common neighbor of u and z witnesses a detour.
-  for (Vertex z : g_.neighbors(v)) {
-    if (z == u) continue;
-    if (bitmap_.has_common(u, z)) return true;
-  }
-  return false;
-}
-
 std::vector<Vertex> SupportOracle::common_neighbors(Vertex u,
                                                     Vertex v) const {
   if (bitmap_.empty()) return dcs::common_neighbors(g_, u, v);
   std::vector<Vertex> out;
   bitmap_.common_into(u, v, out);
   return out;
+}
+
+ShortDistanceOracle::ShortDistanceOracle(const Graph& g, std::size_t queries)
+    : g_(g) {
+  if (!balls_pay(g.num_vertices(), g.num_edges(), queries)) return;
+  adjacency_ = AdjacencyBitmap(g);
+  ball_ = adjacency_.two_ball(g);
+}
+
+bool ShortDistanceOracle::balls_pay(std::size_t n, std::size_t m,
+                                    std::size_t queries) {
+  if (n == 0) return false;
+  const std::size_t words = (n + 63) / 64;
+  if (2 * n * words * 8 > AdjacencyBitmap::kMaxBytes) return false;
+  // The fill ORs d̄ + 1 rows of `words` words into each of the n ball rows.
+  // A scalar query merges sorted lists: about 2d̄ entries to find a common
+  // neighbour, up to d̄² to rule out a 3-detour. Measured at n = 1024–8192,
+  // one costs about as much as 8·d̄ of the fill's word ORs, and a ball
+  // query next to nothing.
+  const double degree =
+      2.0 * static_cast<double>(m) / static_cast<double>(n);
+  return static_cast<double>(n + 2 * m) * static_cast<double>(words) <=
+         8.0 * static_cast<double>(queries) * degree;
+}
+
+Dist ShortDistanceOracle::distance(Vertex u, Vertex v) const {
+  if (ball_.empty()) {
+    if (g_.has_edge(u, v)) return 1;
+    if (base_support(g_, u, v) > 0) return 2;
+    return find_3detours(g_, u, v, /*limit=*/1).empty() ? kUnreachable : 3;
+  }
+  if (adjacency_.test(u, v)) return 1;
+  if (ball_.test(u, v)) return 2;
+  return simd::and_popcount_at_least(ball_.row(u).data(),
+                                     adjacency_.row(v).data(),
+                                     adjacency_.words_per_row(), 1)
+             ? 3
+             : kUnreachable;
 }
 
 }  // namespace dcs

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/adjacency_bitmap.hpp"
+#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
@@ -68,7 +69,8 @@ std::vector<Vertex> random_short_replacement(const Graph& h, Vertex u,
 /// n = 2048, well below the paper's Δ ≥ n^{2/3} ≈ 161); every query then
 /// runs as a word-parallel popcount loop, falling back to the scalar
 /// sorted-merge reference functions above on sparse graphs. The answers
-/// are identical either way (pinned by tests/test_traversal.cpp).
+/// are identical either way (pinned by tests/test_traversal.cpp). The
+/// d ≤ 3 test (::has_short_replacement) is ShortDistanceOracle's, below.
 ///
 /// The oracle borrows `g`; it must outlive the oracle. Queries are const
 /// and safe to issue concurrently from many threads.
@@ -97,15 +99,49 @@ class SupportOracle {
   /// cf. ::is_ab_supported (the Ê test of Algorithm 1).
   bool is_ab_supported(Edge e, std::size_t a, std::size_t b) const;
 
-  /// cf. ::has_short_replacement (direct edge, 2-detour, or 3-detour).
-  bool has_short_replacement(Vertex u, Vertex v) const;
-
   /// cf. ::common_neighbors.
   std::vector<Vertex> common_neighbors(Vertex u, Vertex v) const;
 
  private:
   const Graph& g_;
   AdjacencyBitmap bitmap_;
+};
+
+/// "Is d_g(u,v) ≤ 3?" (::has_short_replacement) for a known number of
+/// queries on one graph. Both questions Algorithm 1 and its certification
+/// ask are ball intersections: with B₂(u) = {u} ∪ N(u) ∪ N(N(u)), for
+/// u ≠ v, d(u,v) ≤ 2 iff v ∈ B₂(u) and d(u,v) ≤ 3 iff B₂(u) ∩ N(v) ≠ ∅.
+/// When balls_pay() holds, construction fills g's adjacency bitmap and its
+/// two-ball bitmap (AdjacencyBitmap::two_ball) and every query is one bit
+/// test or one row AND; otherwise queries run the scalar merges above. The
+/// answers are identical either way (pinned by tests/test_traversal.cpp).
+///
+/// The oracle borrows `g`; it must outlive the oracle. Queries are const
+/// and safe to issue concurrently from many threads.
+class ShortDistanceOracle {
+ public:
+  ShortDistanceOracle(const Graph& g, std::size_t queries);
+
+  /// The one rule that picks the path: true when both n × n bitmaps fit
+  /// AdjacencyBitmap::kMaxBytes and filling the balls, (n + 2m)·⌈n/64⌉
+  /// word ORs, costs no more than `queries` scalar merges on a graph of
+  /// average degree d̄ = 2m/n, taken as 8·d̄ word ORs each.
+  static bool balls_pay(std::size_t n, std::size_t m, std::size_t queries);
+
+  bool balled() const { return !ball_.empty(); }
+
+  /// d_g(u,v) for u ≠ v when it is at most 3, otherwise kUnreachable.
+  Dist distance(Vertex u, Vertex v) const;
+
+  /// d_g(u,v) ≤ 3, cf. ::has_short_replacement.
+  bool has_short_replacement(Vertex u, Vertex v) const {
+    return distance(u, v) != kUnreachable;
+  }
+
+ private:
+  const Graph& g_;
+  AdjacencyBitmap adjacency_;
+  AdjacencyBitmap ball_;
 };
 
 }  // namespace dcs

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "core/support.hpp"
 #include "graph/bfs.hpp"
 #include "graph/traversal.hpp"
 #include "util/check.hpp"
@@ -13,37 +14,88 @@
 
 namespace dcs {
 
+namespace {
+
+/// One worker's share of a DistanceStretchReport.
+struct StretchTally {
+  double total = 0.0;
+  double max = 0.0;
+  std::size_t checked = 0;
+  std::size_t unreachable = 0;
+
+  /// One G-edge whose endpoints are `d` apart in H (kUnreachable when
+  /// beyond the cap).
+  void add(Dist d) {
+    ++checked;
+    if (d == kUnreachable) {
+      ++unreachable;
+    } else {
+      total += d;
+      max = std::max(max, static_cast<double>(d));
+    }
+  }
+};
+
+}  // namespace
+
 DistanceStretchReport measure_distance_stretch(const Graph& g,
                                                const Graph& h, Dist cap) {
   DCS_REQUIRE(g.num_vertices() == h.num_vertices(),
               "spanner must share the vertex set");
   const std::size_t n = g.num_vertices();
 
-  // Only vertices with a canonical (v > u) neighbor need a BFS; batching
-  // them 64 per multi-source pass is the single hottest win in the repo —
-  // one sweep of H serves a whole word of sources.
-  std::vector<Vertex> sources;
-  for (Vertex u = 0; u < n; ++u) {
-    for (Vertex v : g.neighbors(u)) {
-      if (v > u) {
-        sources.push_back(u);
-        break;
-      }
-    }
-  }
-  const std::size_t num_batches =
-      (sources.size() + kMsBfsBatch - 1) / kMsBfsBatch;
-
   std::mutex merge_mutex;
   DistanceStretchReport report;
   double total = 0.0;
+  auto merge = [&](const StretchTally& t) {
+    std::lock_guard lock(merge_mutex);
+    total += t.total;
+    report.max_stretch = std::max(report.max_stretch, t.max);
+    report.checked_edges += t.checked;
+    report.unreachable += t.unreachable;
+  };
 
+  // Every G-edge of a valid 3-spanner has its endpoints at most 3 apart in
+  // H, which H's radius-2 balls answer exactly: a ball distance is final
+  // (beyond the cap it counts as unreachable), and an edge the balls leave
+  // unresolved is more than 3 apart, so unreachable under a cap ≤ 3 and
+  // otherwise measured by the BFS below. `unresolved` marks the vertices
+  // with such a canonical (v > u) edge; without balls, that is every
+  // vertex with a canonical edge.
+  const ShortDistanceOracle near(h, g.num_edges());
+  std::vector<std::uint8_t> unresolved(n, 0);
+  auto ball_distance = [&](Vertex u, Vertex v) {
+    return near.balled() ? near.distance(u, v) : kUnreachable;
+  };
+  parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
+    StretchTally tally;
+    for (std::size_t u = lo; u < hi; ++u) {
+      for (Vertex v : g.neighbors(static_cast<Vertex>(u))) {
+        if (v <= u) continue;
+        const Dist d = ball_distance(static_cast<Vertex>(u), v);
+        if (d != kUnreachable) {
+          tally.add(d <= cap ? d : kUnreachable);
+        } else if (near.balled() && cap <= 3) {
+          tally.add(kUnreachable);
+        } else {
+          unresolved[u] = 1;
+        }
+      }
+    }
+    merge(tally);
+  });
+
+  // Batching the remaining sources 64 per multi-source pass is the single
+  // hottest win in the repo — one sweep of H serves a whole word of them.
+  std::vector<Vertex> sources;
+  for (Vertex u = 0; u < n; ++u) {
+    if (unresolved[u]) sources.push_back(u);
+  }
+  const std::size_t num_batches =
+      (sources.size() + kMsBfsBatch - 1) / kMsBfsBatch;
   parallel_chunks(
       0, num_batches, [&](std::size_t lo, std::size_t hi, std::size_t) {
-        double local_total = 0.0;
-        double local_max = 0.0;
-        std::size_t local_checked = 0;
-        std::size_t local_unreachable = 0;
+        StretchTally tally;
         auto& scratch = traversal_scratch();
         for (std::size_t b = lo; b < hi; ++b) {
           const std::size_t first = b * kMsBfsBatch;
@@ -54,23 +106,12 @@ DistanceStretchReport measure_distance_stretch(const Graph& g,
           for (std::size_t i = 0; i < count; ++i) {
             const Vertex u = batch[i];
             for (Vertex v : g.neighbors(u)) {
-              if (v <= u) continue;
-              ++local_checked;
-              const Dist d = view.at(i, v);
-              if (d == kUnreachable) {
-                ++local_unreachable;
-              } else {
-                local_total += d;
-                local_max = std::max(local_max, static_cast<double>(d));
-              }
+              if (v <= u || ball_distance(u, v) != kUnreachable) continue;
+              tally.add(view.at(i, v));
             }
           }
         }
-        std::lock_guard lock(merge_mutex);
-        total += local_total;
-        report.max_stretch = std::max(report.max_stretch, local_max);
-        report.checked_edges += local_checked;
-        report.unreachable += local_unreachable;
+        merge(tally);
       });
 
   const std::size_t reached = report.checked_edges - report.unreachable;

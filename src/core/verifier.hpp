@@ -31,8 +31,12 @@ struct DistanceStretchReport {
   }
 };
 
-/// Measures the per-edge distance stretch of H w.r.t. G. `cap` bounds the
-/// BFS depth; endpoints further apart than cap in H count as unreachable.
+/// Measures the per-edge distance stretch of H w.r.t. G. Endpoints further
+/// apart than `cap` in H count as unreachable. When H's radius-2 balls pay
+/// for m_G queries (ShortDistanceOracle::balls_pay), they give d_H ≤ 3
+/// exactly, and only sources with an edge they leave unresolved run a BFS,
+/// bounded at depth `cap` (none at all when cap ≤ 3); otherwise every
+/// source does. Every report field is the same either way.
 DistanceStretchReport measure_distance_stretch(const Graph& g,
                                                const Graph& h, Dist cap = 16);
 

@@ -1,8 +1,10 @@
 #include "graph/adjacency_bitmap.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "obs/metrics.hpp"
+#include "util/check.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -14,6 +16,20 @@ obs::Counter& builds_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("bitmap.builds");
   return c;
+}
+
+/// In-place transpose of a 64 × 64 bit matrix: afterwards bit i of m[j] is
+/// what bit j of m[i] was. Swaps ever smaller off-diagonal blocks (32, 16,
+/// …, 1 wide), six rounds of 32 masked exchanges.
+void transpose64(std::uint64_t m[64]) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
+      m[k] ^= t << j;
+      m[k + j] ^= t;
+    }
+  }
 }
 
 }  // namespace
@@ -48,9 +64,8 @@ std::size_t AdjacencyBitmap::common_count(Vertex u, Vertex v) const {
   const std::uint64_t* a = bits_.data() + u * words_;
   const std::uint64_t* b = bits_.data() + v * words_;
   // The whole row is always consumed, so this is the pure and-popcount
-  // kernel — runtime-dispatched (AVX2 when available). has_common and
-  // common_into stay scalar: the former stops at the first non-zero word,
-  // the latter materializes.
+  // kernel — runtime-dispatched (AVX2 when available). common_into stays
+  // scalar: it materializes.
   return simd::and_popcount(a, b, words_);
 }
 
@@ -65,14 +80,43 @@ AdjacencyBitmap AdjacencyBitmap::supported_bases(std::size_t k) const {
   bases.n_ = n_;
   bases.words_ = words_;
   bases.bits_.assign(bits_.size(), 0);
-  // Each worker writes only the rows of its own range.
-  parallel_chunks(0, n_, [&](std::size_t lo, std::size_t hi, std::size_t) {
-    for (std::size_t u = lo; u < hi; ++u) {
-      std::uint64_t* row = bases.bits_.data() + u * words_;
-      for (std::size_t z = 0; z < n_; ++z) {
-        if (z != u && common_at_least(static_cast<Vertex>(u),
-                                      static_cast<Vertex>(z), k)) {
-          row[z >> 6] |= 1ull << (z & 63);
+  // S is symmetric, so each unordered base is tested once. The first pass
+  // fills each row from its diagonal 64-bit block rightwards, the diagonal
+  // block in full; the second fills the words left of each row's diagonal
+  // block by transposing 64 × 64 blocks of the first pass's words. It
+  // writes only words left of a row's diagonal block and reads only words
+  // right of one, so the workers of neither pass touch a word another
+  // writes.
+  auto fill_from_diagonal = [&](std::size_t u) {
+    std::uint64_t* row = bases.bits_.data() + u * words_;
+    for (std::size_t z = u & ~std::size_t{63}; z < n_; ++z) {
+      if (z != u && common_at_least(static_cast<Vertex>(u),
+                                    static_cast<Vertex>(z), k)) {
+        row[z >> 6] |= 1ull << (z & 63);
+      }
+    }
+  };
+  // Row u costs about n − u tests: pairing u with n − 1 − u gives every
+  // index of the static partition the same work.
+  parallel_chunks(0, (n_ + 1) / 2,
+                  [&](std::size_t lo, std::size_t hi, std::size_t) {
+                    for (std::size_t u = lo; u < hi; ++u) {
+                      fill_from_diagonal(u);
+                      if (n_ - 1 - u != u) fill_from_diagonal(n_ - 1 - u);
+                    }
+                  });
+  parallel_chunks(0, words_, [&](std::size_t lo, std::size_t hi,
+                                 std::size_t) {
+    std::uint64_t block[64];
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t rows = std::min<std::size_t>(64, n_ - 64 * b);
+      for (std::size_t w = 0; w < b; ++w) {
+        for (std::size_t i = 0; i < 64; ++i) {
+          block[i] = bases.bits_[(64 * w + i) * words_ + b];
+        }
+        transpose64(block);
+        for (std::size_t j = 0; j < rows; ++j) {
+          bases.bits_[(64 * b + j) * words_ + w] = block[j];
         }
       }
     }
@@ -80,13 +124,27 @@ AdjacencyBitmap AdjacencyBitmap::supported_bases(std::size_t k) const {
   return bases;
 }
 
-bool AdjacencyBitmap::has_common(Vertex u, Vertex v) const {
-  const std::uint64_t* a = bits_.data() + u * words_;
-  const std::uint64_t* b = bits_.data() + v * words_;
-  for (std::size_t w = 0; w < words_; ++w) {
-    if ((a[w] & b[w]) != 0) return true;
-  }
-  return false;
+AdjacencyBitmap AdjacencyBitmap::two_ball(const Graph& g) const {
+  DCS_REQUIRE(g.num_vertices() == n_,
+              "two_ball needs the graph this bitmap was built from");
+  AdjacencyBitmap ball;
+  ball.n_ = n_;
+  ball.words_ = words_;
+  ball.bits_.resize(bits_.size());
+  // Each worker writes only the rows of its own range.
+  parallel_chunks(0, n_, [&](std::size_t lo, std::size_t hi, std::size_t) {
+    for (std::size_t u = lo; u < hi; ++u) {
+      std::uint64_t* out = ball.bits_.data() + u * words_;
+      const std::uint64_t* own = bits_.data() + u * words_;
+      std::copy(own, own + words_, out);
+      out[u >> 6] |= 1ull << (u & 63);
+      for (Vertex w : g.neighbors(static_cast<Vertex>(u))) {
+        const std::uint64_t* in = bits_.data() + std::size_t{w} * words_;
+        for (std::size_t i = 0; i < words_; ++i) out[i] |= in[i];
+      }
+    }
+  });
+  return ball;
 }
 
 std::size_t AdjacencyBitmap::common_into(Vertex u, Vertex v,

@@ -9,7 +9,10 @@
 // asymptotically and practically cheaper exactly when the rows it scans
 // are well filled. The bitmap costs n²/8 bytes, so it is built once per
 // graph and only when the density justifies it (see worthwhile()); every
-// consumer keeps the sorted-merge path as the scalar fallback.
+// consumer keeps the sorted-merge path as the scalar fallback. Two derived
+// bitmaps reuse the rows: the supported bases S of the Ê test, and the
+// radius-2 balls behind every d ≤ 3 test (core/support's
+// ShortDistanceOracle).
 //
 // Obs: bitmap.builds counts constructions from a graph. Queries count
 // nothing: they run millions of times per build from every pool worker.
@@ -60,12 +63,15 @@ class AdjacencyBitmap {
   bool common_at_least(Vertex u, Vertex v, std::size_t k) const;
 
   /// The bases with at least k routers (Section 4): row u has bit z iff
-  /// z ≠ u and |N(u) ∩ N(z)| ≥ k. n² common_at_least tests, filled in
-  /// parallel over rows.
+  /// z ≠ u and |N(u) ∩ N(z)| ≥ k. One common_at_least test per unordered
+  /// base (S is symmetric), filled in parallel over rows.
   AdjacencyBitmap supported_bases(std::size_t k) const;
 
-  /// True iff N(u) ∩ N(v) ≠ ∅ (early-exits on the first non-zero word).
-  bool has_common(Vertex u, Vertex v) const;
+  /// The radius-2 balls of `g`, whose adjacency this bitmap must be: row u
+  /// is {u} ∪ N(u) ∪ N(N(u)). For u ≠ v, d(u,v) ≤ 2 iff bit v of row u,
+  /// and d(u,v) ≤ 3 iff row u meets N(v). Filled in parallel over rows,
+  /// each the OR of its neighbours' adjacency rows.
+  AdjacencyBitmap two_ball(const Graph& g) const;
 
   /// Materializes N(u) ∩ N(v) in increasing order into `out` (cleared
   /// first); returns the count.

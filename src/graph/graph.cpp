@@ -9,12 +9,23 @@ namespace dcs {
 Graph::Graph(std::size_t n) : offsets_(n + 1, 0) {}
 
 Graph Graph::from_edges(std::size_t n, std::span<const Edge> edges) {
-  std::vector<Edge> canon(edges.begin(), edges.end());
-  for (const auto& e : canon) {
+  // Generators, checkpoint decoding and Algorithm 1 already emit canonical
+  // lists (u < v, strictly increasing); only other inputs are sorted.
+  bool canonical_order = true;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge e = edges[i];
     DCS_REQUIRE(e.u != e.v, "self-loops are not allowed");
     DCS_REQUIRE(e.u < n && e.v < n, "edge endpoint out of range");
+    canonical_order = canonical_order && e.u < e.v &&
+                      (i == 0 || edges[i - 1] < e);
   }
-  canonicalize_edge_list(canon);
+  std::vector<Edge> sorted;
+  if (!canonical_order) {
+    sorted.assign(edges.begin(), edges.end());
+    canonicalize_edge_list(sorted);
+  }
+  const std::span<const Edge> canon =
+      canonical_order ? edges : std::span<const Edge>(sorted);
 
   Graph g(n);
   std::vector<std::size_t> degree(n, 0);

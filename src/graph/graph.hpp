@@ -25,7 +25,8 @@ class Graph {
   explicit Graph(std::size_t n = 0);
 
   /// Builds from an arbitrary edge list: self-loops are rejected, duplicate
-  /// edges are collapsed.
+  /// edges are collapsed. Every edge is validated; a list already in
+  /// canonical order (u < v, strictly increasing) is not copied or sorted.
   static Graph from_edges(std::size_t n, std::span<const Edge> edges);
 
   std::size_t num_vertices() const { return offsets_.size() - 1; }

@@ -1,16 +1,34 @@
 #include "persist/checkpoint.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace dcs::persist {
 
 namespace {
 
+/// Payload bytes of an edge list: its count, then two u32 per edge.
+std::size_t edges_bytes(std::size_t edges) { return 8 + 8 * edges; }
+
 void encode_edges(Encoder& enc, const std::vector<Edge>& edges) {
   enc.u64(edges.size());
   for (Edge e : edges) {
     enc.u32(e.u);
     enc.u32(e.v);
+  }
+}
+
+/// n, then the canonical edge list, read straight off the adjacency.
+void encode_graph(Encoder& enc, const Graph& g) {
+  enc.u64(g.num_vertices());
+  enc.u64(g.num_edges());
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    const auto nb = g.neighbors(u);
+    for (auto it = std::upper_bound(nb.begin(), nb.end(), u); it != nb.end();
+         ++it) {
+      enc.u32(u);
+      enc.u32(*it);
+    }
   }
 }
 
@@ -38,13 +56,6 @@ bool decode_edges(Decoder& dec, std::size_t n, std::vector<Edge>& out,
   return true;
 }
 
-std::string graph_payload(const Graph& g) {
-  Encoder enc;
-  enc.u64(g.num_vertices());
-  encode_edges(enc, g.edges());
-  return enc.take();
-}
-
 std::optional<Graph> decode_graph(std::string_view payload,
                                   std::string* error, const char* what) {
   Decoder dec(payload);
@@ -69,46 +80,51 @@ std::optional<Graph> decode_graph(std::string_view payload,
 }  // namespace
 
 std::string encode_checkpoint(const CheckpointData& data) {
-  std::string out;
+  const std::size_t bytes =
+      6 * kFrameHeaderBytes + (4 + 3 * 8) +
+      (8 + edges_bytes(data.graph.num_edges())) +
+      (8 + edges_bytes(data.spanner.num_edges())) +
+      (8 + 4 * data.down_vertices.size() +
+       edges_bytes(data.down_edges.size())) +
+      (edges_bytes(data.debt.size()) + 6 * 8 + 2) + 4;
+  Encoder enc(bytes);
 
-  Encoder header;
-  header.u32(kCheckpointVersion);
-  header.u64(data.graph.num_vertices());
-  header.u64(data.wave);
-  header.u64(data.epoch);
-  append_frame(out, static_cast<std::uint8_t>(CheckpointRecord::kHeader),
-               header.str());
+  enc.begin_frame(static_cast<std::uint8_t>(CheckpointRecord::kHeader));
+  enc.u32(kCheckpointVersion);
+  enc.u64(data.graph.num_vertices());
+  enc.u64(data.wave);
+  enc.u64(data.epoch);
+  enc.end_frame();
 
-  append_frame(out, static_cast<std::uint8_t>(CheckpointRecord::kGraph),
-               graph_payload(data.graph));
-  append_frame(out, static_cast<std::uint8_t>(CheckpointRecord::kSpanner),
-               graph_payload(data.spanner));
+  enc.begin_frame(static_cast<std::uint8_t>(CheckpointRecord::kGraph));
+  encode_graph(enc, data.graph);
+  enc.end_frame();
+  enc.begin_frame(static_cast<std::uint8_t>(CheckpointRecord::kSpanner));
+  encode_graph(enc, data.spanner);
+  enc.end_frame();
 
-  Encoder faults;
-  faults.u64(data.down_vertices.size());
-  for (Vertex v : data.down_vertices) faults.u32(v);
-  encode_edges(faults, data.down_edges);
-  append_frame(out, static_cast<std::uint8_t>(CheckpointRecord::kFaults),
-               faults.str());
+  enc.begin_frame(static_cast<std::uint8_t>(CheckpointRecord::kFaults));
+  enc.u64(data.down_vertices.size());
+  for (Vertex v : data.down_vertices) enc.u32(v);
+  encode_edges(enc, data.down_edges);
+  enc.end_frame();
 
-  Encoder sup;
-  encode_edges(sup, data.debt);
-  sup.u64(data.debt_oldest_wave);
-  sup.u64(data.repairs);
-  sup.u64(data.rebuilds);
-  sup.u64(data.last_rebuild_wave);
-  sup.u64(data.last_check_wave);
-  sup.u64(data.held_streak);
-  sup.u8(data.emergency_rebuild ? 1 : 0);
-  sup.u8(data.cert_dirty ? 1 : 0);
-  append_frame(out, static_cast<std::uint8_t>(CheckpointRecord::kSupervisor),
-               sup.str());
+  enc.begin_frame(static_cast<std::uint8_t>(CheckpointRecord::kSupervisor));
+  encode_edges(enc, data.debt);
+  enc.u64(data.debt_oldest_wave);
+  enc.u64(data.repairs);
+  enc.u64(data.rebuilds);
+  enc.u64(data.last_rebuild_wave);
+  enc.u64(data.last_check_wave);
+  enc.u64(data.held_streak);
+  enc.u8(data.emergency_rebuild ? 1 : 0);
+  enc.u8(data.cert_dirty ? 1 : 0);
+  enc.end_frame();
 
-  Encoder footer;
-  footer.u32(5);  // records before the footer
-  append_frame(out, static_cast<std::uint8_t>(CheckpointRecord::kFooter),
-               footer.str());
-  return out;
+  enc.begin_frame(static_cast<std::uint8_t>(CheckpointRecord::kFooter));
+  enc.u32(5);  // records before the footer
+  enc.end_frame();
+  return enc.take();
 }
 
 std::optional<CheckpointData> decode_checkpoint(std::string_view bytes,

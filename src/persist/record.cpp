@@ -1,5 +1,6 @@
 #include "persist/record.hpp"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 
@@ -7,19 +8,27 @@ namespace dcs::persist {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the bytewise table; tables[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight lookups fold an 8-byte word.
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
-
-constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 4 + 4;
 
 std::uint32_t read_u32le(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -31,25 +40,51 @@ std::uint32_t read_u32le(const unsigned char* p) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = c ^ read_u32le(p);
+    const std::uint32_t hi = read_u32le(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
 
-void Encoder::u32(std::uint32_t v) {
-  out_.push_back(static_cast<char>(v & 0xFF));
-  out_.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out_.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out_.push_back(static_cast<char>((v >> 24) & 0xFF));
+void Encoder::bytes(std::string_view b) {
+  if (!b.empty()) std::memcpy(grab(b.size()), b.data(), b.size());
 }
 
-void Encoder::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  u32(static_cast<std::uint32_t>(v >> 32));
+void Encoder::grow(std::size_t n) {
+  buf_.resize(std::max(2 * buf_.size(), pos_ + n));
+}
+
+void Encoder::begin_frame(std::uint8_t kind) {
+  frame_start_ = pos_;
+  u32(kRecordMagic);
+  u8(kind);
+  u32(0);  // payload length and CRC: end_frame fills them in
+  u32(0);
+}
+
+void Encoder::end_frame() {
+  char* header = buf_.data() + frame_start_;
+  const std::size_t len = pos_ - frame_start_ - kFrameHeaderBytes;
+  store_le(header + 5, static_cast<std::uint32_t>(len));
+  store_le(header + 9, crc32(header + kFrameHeaderBytes, len));
+}
+
+std::string Encoder::take() {
+  buf_.resize(pos_);
+  std::string out = std::move(buf_);
+  buf_.clear();
+  pos_ = 0;
+  return out;
 }
 
 const unsigned char* Decoder::take(std::size_t n) {
@@ -81,18 +116,15 @@ std::uint64_t Decoder::u64() {
 
 void append_frame(std::string& out, std::uint8_t kind,
                   std::string_view payload) {
-  Encoder header;
-  header.u32(kRecordMagic);
-  header.u8(kind);
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(crc32(payload));
-  out.append(header.str());
-  out.append(payload);
+  Encoder frame(kFrameHeaderBytes + payload.size());
+  frame.begin_frame(kind);
+  frame.bytes(payload);
+  frame.end_frame();
+  out.append(frame.take());
 }
 
 bool write_record(File& file, std::uint8_t kind, std::string_view payload) {
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
   append_frame(frame, kind, payload);
   return file.write_all(frame);
 }

@@ -39,7 +39,7 @@ bool WalWriter::append(std::uint64_t wave,
     return false;
   }
   ++records_;
-  bytes_ += 13 + payload.size();
+  bytes_ += kFrameHeaderBytes + payload.size();
   return true;
 }
 

@@ -224,18 +224,15 @@ RepairResult repair_with_candidates(const Graph& g_surviving,
   // loses only its own share of the faults). Only the *broken* ones — not
   // in H∖F and without a surviving ≤3 replacement — need the construction
   // machinery re-run around them. The screen runs on the sparse H, so it is
-  // far cheaper per edge than anything the rebuild does on G; the oracle
-  // upgrades it to word-parallel bitmap probes when H is dense enough.
+  // far cheaper per edge than anything the rebuild does on G; with enough
+  // candidates, H∖F's radius-2 balls answer each with one row AND.
   std::vector<std::uint8_t> is_broken(candidates.size(), 0);
   {
     DCS_TRACE_SPAN("screen");
-    const SupportOracle h_support(h_surviving);
+    const ShortDistanceOracle h_near(h_surviving, candidates.size());
     parallel_for(0, candidates.size(), [&](std::size_t i) {
       const Edge e = candidates[i];
-      if (!h_surviving.has_edge(e.u, e.v) &&
-          !h_support.has_short_replacement(e.u, e.v)) {
-        is_broken[i] = 1;
-      }
+      if (!h_near.has_short_replacement(e.u, e.v)) is_broken[i] = 1;
     });
   }
   std::vector<Edge> broken;
@@ -299,14 +296,14 @@ RepairResult repair_with_candidates(const Graph& g_surviving,
     // to the broken edges only. Verdicts are evaluated against the static
     // h1, so they are order-independent and parallel.
     const SupportOracle g_support(g_surviving);
-    const SupportOracle h1_support(h1);
+    const ShortDistanceOracle h1_near(h1, broken.size());
     std::vector<std::uint8_t> reinsert(broken.size(), 0);
     parallel_for(0, broken.size(), [&](std::size_t i) {
       const Edge e = broken[i];
       if (h1.has_edge(e.u, e.v)) return;
       if (!g_support.is_ab_supported(e, params.support_a,
                                      params.support_b) ||
-          !h1_support.has_short_replacement(e.u, e.v)) {
+          !h1_near.has_short_replacement(e.u, e.v)) {
         reinsert[i] = 1;
       }
     });

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 
 #include "graph/bfs.hpp"
@@ -73,6 +74,39 @@ TEST(Graph, RejectsSelfLoopsAndOutOfRange) {
   EXPECT_THROW(Graph::from_edges(3, loop), std::invalid_argument);
   const std::vector<Edge> oob{{0, 3}};
   EXPECT_THROW(Graph::from_edges(3, oob), std::invalid_argument);
+}
+
+TEST(Graph, FromEdgesSameCsrForAnyOrderAndOrientation) {
+  // A canonical sorted list takes the path that skips sorting; shuffled,
+  // duplicated and (v,u)-oriented copies take the sorting path. All four
+  // must build the same CSR, and every edge is still validated.
+  std::vector<Edge> sorted;
+  for (Vertex u = 0; u < 40; ++u) {
+    for (Vertex v = u + 1; v < 40; v += 1 + (u + v) % 5) {
+      sorted.push_back({u, v});
+    }
+  }
+  std::vector<Edge> shuffled = sorted;
+  std::mt19937 rng(5);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  // Sorted, but each edge twice in a row: not strictly increasing.
+  std::vector<Edge> duplicated;
+  for (Edge e : sorted) duplicated.insert(duplicated.end(), {e, e});
+  std::vector<Edge> reversed;
+  for (Edge e : sorted) reversed.push_back({e.v, e.u});
+
+  const Graph g = Graph::from_edges(40, sorted);
+  EXPECT_EQ(g.edges(), sorted);
+  for (const auto* list : {&shuffled, &duplicated, &reversed}) {
+    EXPECT_EQ(Graph::from_edges(40, *list), g);
+  }
+
+  std::vector<Edge> loop = sorted;
+  loop[loop.size() / 2] = {7, 7};
+  EXPECT_THROW(Graph::from_edges(40, loop), std::invalid_argument);
+  std::vector<Edge> out_of_range = sorted;
+  out_of_range.back() = {38, 40};
+  EXPECT_THROW(Graph::from_edges(40, out_of_range), std::invalid_argument);
 }
 
 TEST(Graph, NeighborsAreSorted) {

@@ -60,6 +60,32 @@ TEST(Crc32, KnownVectorsAndChaining) {
   EXPECT_EQ(split, crc32(all));
 }
 
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // The sliced kernel folds eight bytes per step, then finishes bytewise;
+  // lengths 0–67 at offsets 0–7 cover every head and tail alignment.
+  const auto reference = [](const unsigned char* p, std::size_t size) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> bytes(8 + 67);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 151 + 7);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 67; ++size) {
+      EXPECT_EQ(crc32(bytes.data() + offset, size),
+                reference(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
 TEST(Record, EncoderDecoderRoundTrip) {
   Encoder enc;
   enc.u8(0xAB);
@@ -241,6 +267,20 @@ TEST(Checkpoint, RoundTripPreservesEveryField) {
 TEST(Checkpoint, EncodingIsByteDeterministic) {
   const CheckpointData data = sample_checkpoint();
   EXPECT_EQ(encode_checkpoint(data), encode_checkpoint(data));
+}
+
+TEST(Checkpoint, EncodingMatchesRecordedBytes) {
+  // FNV-1a of the bytes of a checkpoint with faults and debt. It pins the
+  // on-disk format: a framing or encoding change that moves one byte
+  // fails here.
+  const std::string bytes = encode_checkpoint(sample_checkpoint());
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    digest ^= c;
+    digest *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(bytes.size(), 1732u);
+  EXPECT_EQ(digest, 0x4bbe9132193218a1ull);
 }
 
 TEST(Checkpoint, RejectsTamperedBytes) {

@@ -18,20 +18,32 @@ RegularSpannerOptions default_options(std::uint64_t seed = 1) {
   return o;
 }
 
-/// Algorithm 1's H rebuilt edge by edge from G' and the per-edge oracle
-/// tests, whichever way build_regular_spanner evaluated the Ê test.
+/// Algorithm 1's H rebuilt edge by edge from G' with the per-edge Ê test
+/// and the scalar 3-detour check, whichever way build_regular_spanner
+/// evaluated either.
 Graph per_edge_spanner(const Graph& g, const RegularSpannerResult& built) {
   const SupportOracle support(g);
-  const SupportOracle sampled_support(built.sampled);
   std::vector<Edge> kept;
   for (Edge e : g.edges()) {
     if (built.sampled.has_edge(e.u, e.v) ||
         !support.is_ab_supported(e, built.support_a, built.support_b) ||
-        !sampled_support.has_short_replacement(e.u, e.v)) {
+        !has_short_replacement(built.sampled, e.u, e.v)) {
       kept.push_back(e);
     }
   }
   return Graph::from_edges(g.num_vertices(), kept);
+}
+
+/// FNV-1a over the canonical edge list.
+std::uint64_t edge_digest(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Edge& e : g.edges()) {
+    for (Vertex x : {e.u, e.v}) {
+      h ^= x;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
 }
 
 TEST(RegularSpanner, RequiresRegularInput) {
@@ -142,8 +154,9 @@ TEST(RegularSpanner, UndetouredReinsertionKeepsSupportedEdgesRoutable) {
 }
 
 TEST(RegularSpanner, EhatTestMatchesPerEdgeOracleOnBothSides) {
-  // Dense inputs with n² ≤ |removed|·b test every base once through the
-  // supported-base bitmap; the others test each removed edge on its own.
+  // Dense inputs with n² ≤ 2·|removed|·b test every unordered base once
+  // through the supported-base bitmap; the others test each removed edge
+  // on its own.
   // Each input here really fails the Ê test, so a wrong bit shows in H.
   RegularSpannerOptions strict;
   strict.support_a_factor = 3.0;
@@ -152,21 +165,64 @@ TEST(RegularSpanner, EhatTestMatchesPerEdgeOracleOnBothSides) {
     const char* name;
     Graph g;
     RegularSpannerOptions options;
-    bool all_bases;  // n² ≤ |removed|·b
+    bool all_bases;  // n² ≤ 2·|removed|·b
   } cases[] = {
       {"clique_matching_graph(512)", clique_matching_graph(512), {}, true},
       {"random_regular(512, 128, 7)", random_regular(512, 128, 7), strict,
        true},
-      {"ring_of_cliques(16, 127)", ring_of_cliques(16, 127), {}, false},
+      {"ring_of_cliques(32, 63)", ring_of_cliques(32, 63), {}, false},
   };
   for (const auto& c : cases) {
     ASSERT_TRUE(SupportOracle(c.g).bitmapped()) << c.name;
     const auto built = build_regular_spanner(c.g, c.options);
     const std::size_t n = c.g.num_vertices();
     const std::size_t removed = c.g.num_edges() - built.sampled.num_edges();
-    EXPECT_EQ(n * n <= removed * built.support_b, c.all_bases) << c.name;
+    EXPECT_EQ(n * n <= 2 * removed * built.support_b, c.all_bases)
+        << c.name;
     EXPECT_GT(built.reinserted_unsupported, 0u) << c.name;
     EXPECT_EQ(built.spanner.h, per_edge_spanner(c.g, built)) << c.name;
+  }
+}
+
+TEST(RegularSpanner, GoldenDigestsOnBothSidesOfEachRule) {
+  // Pins H per seed on each side of both path choices: the Ê test through
+  // the supported-base bitmap S, per edge on the adjacency bitmap, or per
+  // edge on the sorted merge; step 3 through G′'s radius-2 balls or the
+  // scalar merge (ShortDistanceOracle::balls_pay).
+  const struct {
+    const char* name;
+    Graph g;
+    std::uint64_t seed;
+    bool bitmapped;    // SupportOracle(g).bitmapped()
+    bool all_bases;    // the Ê test fills S
+    bool step3_balls;  // step 3 fills G′'s balls
+    std::uint64_t digest;
+  } cases[] = {
+      {"random_regular(2048, 320, 1)", random_regular(2048, 320, 1), 1, true,
+       true, true, 0x5e4f7131ac9b6d83ull},
+      {"random_regular(2048, 64, 7)", random_regular(2048, 64, 7), 7, true,
+       false, true, 0xf5a8f01a4c61febeull},
+      {"random_regular(512, 64, 5)", random_regular(512, 64, 5), 5, true,
+       true, true, 0xc602decc88a903e4ull},
+      {"random_regular(130, 30, 2)", random_regular(130, 30, 2), 2, true,
+       true, true, 0xb3e61c3bd89921e4ull},
+      {"ring_of_cliques(300, 15)", ring_of_cliques(300, 15), 4, false, false,
+       false, 0xb7c6ff86c27a10afull},
+  };
+  for (const auto& c : cases) {
+    const auto built = build_regular_spanner(c.g, default_options(c.seed));
+    const std::size_t n = c.g.num_vertices();
+    const std::size_t removed = c.g.num_edges() - built.sampled.num_edges();
+    const bool bitmapped = SupportOracle(c.g).bitmapped();
+    EXPECT_EQ(bitmapped, c.bitmapped) << c.name;
+    EXPECT_EQ(bitmapped && n * n <= 2 * removed * built.support_b,
+              c.all_bases)
+        << c.name;
+    EXPECT_EQ(ShortDistanceOracle::balls_pay(n, built.sampled.num_edges(),
+                                             removed),
+              c.step3_balls)
+        << c.name;
+    EXPECT_EQ(edge_digest(built.spanner.h), c.digest) << c.name;
   }
 }
 

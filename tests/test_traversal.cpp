@@ -144,19 +144,52 @@ TEST(AdjacencyBitmap, MatchesScalarSupportOnCorpus) {
       EXPECT_EQ(bm.common_count(u, v), support);
       EXPECT_TRUE(bm.common_at_least(u, v, support));
       EXPECT_FALSE(bm.common_at_least(u, v, support + 1));
-      EXPECT_EQ(bm.has_common(u, v), !reference.empty());
       bm.common_into(u, v, out);
       EXPECT_EQ(out, reference);
     }
-    const AdjacencyBitmap bases = bm.supported_bases(2);
+    // supported_bases tests each unordered base once and mirrors the rest;
+    // the corpus sizes that are not a multiple of 64 (checked below) end
+    // in a partial diagonal block.
+    for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const AdjacencyBitmap bases = bm.supported_bases(k);
+      for (Vertex u = 0; u < g.num_vertices(); ++u) {
+        for (Vertex z = 0; z < g.num_vertices(); ++z) {
+          ASSERT_EQ(bases.test(u, z), u != z && base_support(g, u, z) >= k)
+              << "n=" << g.num_vertices() << " k=" << k << " u=" << u
+              << " z=" << z;
+        }
+      }
+    }
+    // Row u of the two-ball bitmap is the BFS ball of radius 2 around u.
+    const AdjacencyBitmap ball = bm.two_ball(g);
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
-      for (Vertex z = 0; z < g.num_vertices(); ++z) {
-        ASSERT_EQ(bases.test(u, z), u != z && base_support(g, u, z) >= 2)
-            << "n=" << g.num_vertices() << " u=" << u << " z=" << z;
+      const auto dist = bfs_distances_bounded(g, u, 2);
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(ball.test(u, v), dist[v] != kUnreachable)
+            << "n=" << g.num_vertices() << " u=" << u << " v=" << v;
       }
     }
   }
+  EXPECT_TRUE(std::ranges::any_of(corpus(), [](const Graph& g) {
+    return g.num_vertices() > 64 && g.num_vertices() % 64 != 0;
+  }));
 }
+
+/// d(u,v) when it is at most 3, else kUnreachable: what
+/// ShortDistanceOracle::distance must return.
+Dist capped_distance(const Graph& g, Vertex u, Vertex v) {
+  const Dist d = bfs_distance(g, u, v);
+  return d <= 3 ? d : kUnreachable;
+}
+
+/// One oracle on each side of ShortDistanceOracle::balls_pay: no queries
+/// never pay for the balls, and a billion always do.
+struct BothDistanceOracles {
+  explicit BothDistanceOracles(const Graph& g)
+      : merges(g, 0), balls(g, std::size_t{1} << 30) {}
+  ShortDistanceOracle merges;
+  ShortDistanceOracle balls;
+};
 
 TEST(SupportOracle, MatchesScalarOnDenseAndSparseGraphs) {
   // One graph above the bitmap density threshold, one below; oracle
@@ -170,6 +203,9 @@ TEST(SupportOracle, MatchesScalarOnDenseAndSparseGraphs) {
   for (const Graph* g : {&dense, &sparse}) {
     const SupportOracle oracle(*g);
     EXPECT_EQ(oracle.bitmapped(), g == &dense);
+    const BothDistanceOracles near(*g);
+    ASSERT_FALSE(near.merges.balled());
+    ASSERT_TRUE(near.balls.balled());
     Rng rng(23);
     for (Edge e : g->edges()) {
       for (std::size_t a : {std::size_t{0}, std::size_t{2}}) {
@@ -188,8 +224,11 @@ TEST(SupportOracle, MatchesScalarOnDenseAndSparseGraphs) {
       const auto v = static_cast<Vertex>(rng.uniform(g->num_vertices()));
       if (u == v) continue;
       EXPECT_EQ(oracle.base_support(u, v), base_support(*g, u, v));
-      EXPECT_EQ(oracle.has_short_replacement(u, v),
-                has_short_replacement(*g, u, v));
+      const bool reference = has_short_replacement(*g, u, v);
+      EXPECT_EQ(near.merges.has_short_replacement(u, v), reference);
+      EXPECT_EQ(near.balls.has_short_replacement(u, v), reference);
+      EXPECT_EQ(near.merges.distance(u, v), capped_distance(*g, u, v));
+      EXPECT_EQ(near.balls.distance(u, v), capped_distance(*g, u, v));
       EXPECT_EQ(oracle.common_neighbors(u, v), common_neighbors(*g, u, v));
     }
   }
@@ -198,18 +237,22 @@ TEST(SupportOracle, MatchesScalarOnDenseAndSparseGraphs) {
 TEST(SupportOracle, HasShortReplacementCornerCases) {
   // Star: leaves pairwise share only the hub; ring of cliques: cross
   // edges have no common neighbors but do have 3-detours through the
-  // cliques... verify oracle equivalence on such structured cases.
+  // cliques; isolated vertices have empty balls beyond themselves...
+  // verify oracle equivalence on such structured cases.
   for (const Graph& g : {star_graph(80), ring_of_cliques(5, 9),
-                         clique_matching_graph(40)}) {
-    const AdjacencyBitmap bm(g);
-    const SupportOracle oracle(g);
+                         clique_matching_graph(40),
+                         disconnected_graph(80, 5)}) {
+    const BothDistanceOracles near(g);
     Rng rng(31);
     for (int trial = 0; trial < 150; ++trial) {
       const auto u = static_cast<Vertex>(rng.uniform(g.num_vertices()));
       const auto v = static_cast<Vertex>(rng.uniform(g.num_vertices()));
       if (u == v) continue;
-      EXPECT_EQ(oracle.has_short_replacement(u, v),
-                has_short_replacement(g, u, v));
+      const bool reference = has_short_replacement(g, u, v);
+      EXPECT_EQ(near.merges.has_short_replacement(u, v), reference);
+      EXPECT_EQ(near.balls.has_short_replacement(u, v), reference);
+      EXPECT_EQ(near.merges.distance(u, v), capped_distance(g, u, v));
+      EXPECT_EQ(near.balls.distance(u, v), capped_distance(g, u, v));
     }
   }
 }

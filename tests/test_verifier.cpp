@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+
 #include "core/router.hpp"
+#include "core/support.hpp"
 #include "core/verifier.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "routing/shortest_paths.hpp"
 #include "routing/workloads.hpp"
@@ -54,6 +60,74 @@ TEST(DistanceStretch, CapLimitsSearchDepth) {
   const auto full = measure_distance_stretch(g, h, /*cap=*/64);
   EXPECT_EQ(full.unreachable, 0u);
   EXPECT_DOUBLE_EQ(full.max_stretch, 29.0);
+}
+
+/// measure_distance_stretch recomputed with one bounded BFS per G-edge.
+DistanceStretchReport bfs_reference(const Graph& g, const Graph& h,
+                                    Dist cap) {
+  DistanceStretchReport r;
+  double total = 0.0;
+  for (Edge e : g.edges()) {
+    const Dist d = bfs_distances_bounded(h, e.u, cap)[e.v];
+    ++r.checked_edges;
+    if (d == kUnreachable) {
+      ++r.unreachable;
+    } else {
+      total += d;
+      r.max_stretch = std::max(r.max_stretch, static_cast<double>(d));
+    }
+  }
+  const std::size_t reached = r.checked_edges - r.unreachable;
+  r.mean_stretch = reached == 0 ? 0.0 : total / static_cast<double>(reached);
+  return r;
+}
+
+/// H is the cycle C_c on [0, c) plus `isolated` vertices; G adds chords
+/// spanning k = 2..5 cycle steps (so d_H = k) and edges into the isolated
+/// vertices (unreachable in H).
+std::pair<Graph, Graph> chorded_cycle(std::size_t c, std::size_t isolated) {
+  const std::size_t n = c + isolated;
+  std::vector<Edge> cycle;
+  for (Vertex v = 0; v < c; ++v) {
+    cycle.push_back(canonical(v, static_cast<Vertex>((v + 1) % c)));
+  }
+  std::vector<Edge> edges = cycle;
+  for (Vertex v = 0; v < c; v += 3) {
+    const Vertex k = 2 + v % 4;
+    edges.push_back(canonical(v, static_cast<Vertex>((v + k) % c)));
+  }
+  for (Vertex i = 0; i < isolated; ++i) {
+    const auto w = static_cast<Vertex>(c + i);
+    edges.push_back(canonical(static_cast<Vertex>(7 * i % c), w));
+    if (i > 0) edges.push_back(canonical(w - 1, w));
+  }
+  return {Graph::from_edges(n, edges), Graph::from_edges(n, cycle)};
+}
+
+TEST(DistanceStretch, BallAndBfsPathsMatchPerSourceBfs) {
+  // G-edges at H-distance 1–5 plus unreachable ones. The small instance
+  // takes the radius-2 balls and hands its d > 3 edges to the MS-BFS
+  // (or, under a cap ≤ 3, counts them unreachable); the large sparse one
+  // does not pay for the balls and runs MS-BFS throughout.
+  for (const auto& [c, isolated, balled] :
+       {std::tuple{std::size_t{40}, std::size_t{6}, true},
+        std::tuple{std::size_t{3000}, std::size_t{20}, false}}) {
+    const auto [g, h] = chorded_cycle(c, isolated);
+    ASSERT_EQ(ShortDistanceOracle::balls_pay(h.num_vertices(), h.num_edges(),
+                                             g.num_edges()),
+              balled);
+    for (Dist cap : {Dist{1}, Dist{2}, Dist{3}, Dist{4}, Dist{16}}) {
+      const auto got = measure_distance_stretch(g, h, cap);
+      const auto want = bfs_reference(g, h, cap);
+      EXPECT_DOUBLE_EQ(got.max_stretch, want.max_stretch) << "cap=" << cap;
+      EXPECT_DOUBLE_EQ(got.mean_stretch, want.mean_stretch) << "cap=" << cap;
+      EXPECT_EQ(got.checked_edges, want.checked_edges) << "cap=" << cap;
+      EXPECT_EQ(got.unreachable, want.unreachable) << "cap=" << cap;
+    }
+    const auto full = measure_distance_stretch(g, h, 16);
+    EXPECT_DOUBLE_EQ(full.max_stretch, 5.0);
+    EXPECT_EQ(full.unreachable, 2 * isolated - 1);
+  }
 }
 
 TEST(ExactPairwiseStretch, MatchesEdgeStretchOnUnitDistances) {

@@ -1,6 +1,7 @@
 #include "core/regular_spanner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/support.hpp"
@@ -114,7 +115,17 @@ RegularSpannerResult build_regular_spanner(
         support.bitmapped() && n * n <= 2 * removed.size() * b
             ? adjacency.supported_bases(a + 1)
             : AdjacencyBitmap{};
+    // N(v) has at most n − |S_u| vertices outside S_u, so
+    // |S_u ∩ N(v)| ≥ deg(v) − (n − |S_u|): where that alone reaches b, the
+    // row AND is not needed.
+    std::vector<std::size_t> bases_in_row(bases.num_vertices(), 0);
+    for (Vertex u = 0; u < bases.num_vertices(); ++u) {
+      for (std::uint64_t word : bases.row(u)) {
+        bases_in_row[u] += static_cast<std::size_t>(std::popcount(word));
+      }
+    }
     auto supported_toward = [&](Vertex u, Vertex v) {
+      if (g.degree(v) + bases_in_row[u] >= b + n) return true;
       return simd::and_popcount_at_least(bases.row(u).data(),
                                          adjacency.row(v).data(),
                                          adjacency.words_per_row(), b);

@@ -87,17 +87,58 @@ bool has_short_replacement(const Graph& h, Vertex u, Vertex v) {
   return !find_3detours(h, u, v, /*limit=*/1).empty();
 }
 
+namespace {
+
+/// N(u) as bits in a per-thread bitset, for one call at a time per thread.
+/// Every bit set on construction is cleared on destruction, so the bitset
+/// is all zero between calls and grows only to the largest n seen.
+class NeighbourMarks {
+ public:
+  NeighbourMarks(const Graph& h, Vertex u) : marked_(h.neighbors(u)) {
+    const std::size_t words = (h.num_vertices() + 63) / 64;
+    if (bits_.size() < words) bits_.resize(words, 0);
+    for (Vertex x : marked_) bits_[x >> 6] |= 1ull << (x & 63);
+  }
+  ~NeighbourMarks() {
+    for (Vertex x : marked_) bits_[x >> 6] = 0;
+  }
+  NeighbourMarks(const NeighbourMarks&) = delete;
+  NeighbourMarks& operator=(const NeighbourMarks&) = delete;
+
+  bool test(Vertex x) const { return (bits_[x >> 6] >> (x & 63)) & 1; }
+
+ private:
+  std::span<const Vertex> marked_;
+  static thread_local std::vector<std::uint64_t> bits_;
+};
+
+thread_local std::vector<std::uint64_t> NeighbourMarks::bits_;
+
+}  // namespace
+
 std::vector<Vertex> random_short_replacement(const Graph& h, Vertex u,
                                              Vertex v, Rng& rng,
                                              bool prefer_3detour) {
   DCS_REQUIRE(u != v, "replacement endpoints must differ");
   if (!prefer_3detour && h.has_edge(u, v)) return {u, v};
-  auto detours = find_3detours(h, u, v);
+  const NeighbourMarks in_nu(h, u);
+  // find_3detours' order: z ∈ N(v) ascending, then the routers
+  // x ∈ N(u) ∩ N(z) ascending, so the draw picks the same path.
+  std::vector<Detour3> detours;
+  for (Vertex z : h.neighbors(v)) {
+    if (z == u) continue;
+    for (Vertex x : h.neighbors(z)) {
+      if (x != v && in_nu.test(x)) detours.push_back(Detour3{x, z});
+    }
+  }
   if (!detours.empty()) {
     const auto& d = rng.pick(detours);
     return {u, d.x, d.z, v};
   }
-  auto routers = common_neighbors(h, u, v);
+  std::vector<Vertex> routers;
+  for (Vertex x : h.neighbors(v)) {
+    if (in_nu.test(x)) routers.push_back(x);
+  }
   if (!routers.empty()) {
     return {u, rng.pick(routers), v};
   }

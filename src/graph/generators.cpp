@@ -1,8 +1,8 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "graph/adjacency_bitmap.hpp"
@@ -83,45 +83,31 @@ Graph erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
 
 namespace {
 
-/// Edge membership as an n × n bit matrix: the canonical edge (u,v), u < v,
-/// is bit v of row u. One bit per vertex pair instead of one hashed node
-/// per edge, for graphs dense enough that n²/8 bytes is the smaller.
+/// Edge membership as an n × n bit matrix: edge (u,v) is bit v of row u
+/// and bit u of row v, so each row's set bits are that vertex's sorted
+/// neighbour list (Graph::from_bit_rows). One bit per vertex pair instead
+/// of one hashed node per edge, for graphs dense enough that n²/8 bytes is
+/// the smaller.
 class EdgeMatrix {
  public:
   explicit EdgeMatrix(std::size_t n)
-      : n_(n), words_((n + 63) / 64), bits_(n * words_, 0) {}
+      : words_((n + 63) / 64), bits_(n * words_, 0) {}
 
   bool contains(Vertex u, Vertex v) const {
-    const Edge e = canonical(u, v);
-    return (bits_[e.u * words_ + (e.v >> 6)] >> (e.v & 63)) & 1;
+    return (bits_[u * words_ + (v >> 6)] >> (v & 63)) & 1;
   }
   void insert(Vertex u, Vertex v) {
-    const Edge e = canonical(u, v);
-    bits_[e.u * words_ + (e.v >> 6)] |= 1ull << (e.v & 63);
+    bits_[u * words_ + (v >> 6)] |= 1ull << (v & 63);
+    bits_[v * words_ + (u >> 6)] |= 1ull << (u & 63);
   }
   void erase(Edge e) {
-    e = canonical(e);
     bits_[e.u * words_ + (e.v >> 6)] &= ~(1ull << (e.v & 63));
+    bits_[e.v * words_ + (e.u >> 6)] &= ~(1ull << (e.u & 63));
   }
 
-  /// The edges in canonical (u,v) order.
-  std::vector<Edge> to_vector() const {
-    std::vector<Edge> out;
-    for (std::size_t u = 0; u < n_; ++u) {
-      const std::uint64_t* row = bits_.data() + u * words_;
-      for (std::size_t w = 0; w < words_; ++w) {
-        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
-          const std::size_t v =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          out.push_back(Edge{static_cast<Vertex>(u), static_cast<Vertex>(v)});
-        }
-      }
-    }
-    return out;
-  }
+  std::span<const std::uint64_t> rows() const { return bits_; }
 
  private:
-  std::size_t n_;
   std::size_t words_;
   std::vector<std::uint64_t> bits_;
 };
@@ -213,17 +199,16 @@ Graph random_regular(std::size_t n, std::size_t delta, std::uint64_t seed) {
     return Graph::from_edges(n, edges);
   }
   Rng rng(seed);
-  std::vector<Edge> list;
+  Graph g;
   if (AdjacencyBitmap::worthwhile(n, n * delta / 2)) {
     EdgeMatrix edges(n);
     add_random_matchings(n, delta, rng, edges);
-    list = edges.to_vector();
+    g = Graph::from_bit_rows(n, edges.rows());
   } else {
     EdgeSet edges;
     add_random_matchings(n, delta, rng, edges);
-    list = edges.to_vector();
+    g = Graph::from_edges(n, edges.to_vector());
   }
-  Graph g = Graph::from_edges(n, list);
   DCS_CHECK(g.is_regular() && g.min_degree() == delta,
             "random_regular produced a non-regular graph");
   return g;

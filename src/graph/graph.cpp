@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -44,6 +45,39 @@ Graph Graph::from_edges(std::size_t n, std::span<const Edge> edges) {
   for (const auto& e : canon) {
     g.adjacency_[cursor[e.u]++] = e.v;
     g.adjacency_[cursor[e.v]++] = e.u;
+  }
+  return g;
+}
+
+Graph Graph::from_bit_rows(std::size_t n,
+                           std::span<const std::uint64_t> rows) {
+  const std::size_t words = (n + 63) / 64;
+  DCS_REQUIRE(rows.size() == n * words, "bit matrix must be n × ⌈n/64⌉");
+  // Bits of the last word that name vertices below n.
+  const std::uint64_t in_range =
+      n % 64 == 0 ? ~0ull : (1ull << (n % 64)) - 1;
+  Graph g(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint64_t* row = rows.data() + u * words;
+    DCS_REQUIRE(((row[u >> 6] >> (u & 63)) & 1) == 0,
+                "self-loops are not allowed");
+    DCS_REQUIRE((row[words - 1] & ~in_range) == 0,
+                "edge endpoint out of range");
+    std::size_t degree = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      degree += static_cast<std::size_t>(std::popcount(row[w]));
+    }
+    g.offsets_[u + 1] = g.offsets_[u] + degree;
+  }
+  g.adjacency_.resize(g.offsets_[n]);
+  Vertex* out = g.adjacency_.data();
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint64_t* row = rows.data() + u * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        *out++ = static_cast<Vertex>(w * 64 + std::countr_zero(bits));
+      }
+    }
   }
   return g;
 }
@@ -99,9 +133,14 @@ std::pair<std::size_t, std::size_t> Graph::degree_bounds() const {
 
 bool Graph::contains_subgraph(const Graph& other) const {
   if (other.num_vertices() != num_vertices()) return false;
+  // One sequential merge per row instead of a cold binary search per edge.
   for (Vertex u = 0; u < num_vertices(); ++u) {
-    for (Vertex v : other.neighbors(u)) {
-      if (u < v && !has_edge(u, v)) return false;
+    const auto mine = neighbors(u);
+    const auto theirs = other.neighbors(u);
+    if (theirs.size() > mine.size() ||
+        !std::includes(mine.begin(), mine.end(), theirs.begin(),
+                       theirs.end())) {
+      return false;
     }
   }
   return true;

@@ -29,6 +29,13 @@ class Graph {
   /// canonical order (u < v, strictly increasing) is not copied or sorted.
   static Graph from_edges(std::size_t n, std::span<const Edge> edges);
 
+  /// Builds from an n × ⌈n/64⌉-word bit matrix whose row u has bit v
+  /// (word v/64, bit v%64) iff (u,v) is an edge, so each row's set bits are
+  /// u's sorted neighbour list. A diagonal bit and any bit ≥ n are
+  /// rejected. The matrix must be symmetric; that is not checked.
+  static Graph from_bit_rows(std::size_t n,
+                             std::span<const std::uint64_t> rows);
+
   std::size_t num_vertices() const { return offsets_.size() - 1; }
   std::size_t num_edges() const { return adjacency_.size() / 2; }
 

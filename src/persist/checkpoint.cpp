@@ -18,16 +18,25 @@ void encode_edges(Encoder& enc, const std::vector<Edge>& edges) {
   }
 }
 
-/// n, then the canonical edge list, read straight off the adjacency.
+/// Payload bytes of a gap-coded graph when every count and gap fits one
+/// byte; the encoder grows past it when some do not.
+std::size_t graph_bytes(const Graph& g) {
+  return 8 + g.num_vertices() + g.num_edges();
+}
+
+/// n, then for each vertex u its neighbours above u: their count, then the
+/// gaps between them, the first measured from u, each as a varint. Read
+/// straight off the CSR rows.
 void encode_graph(Encoder& enc, const Graph& g) {
   enc.u64(g.num_vertices());
-  enc.u64(g.num_edges());
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
     const auto nb = g.neighbors(u);
-    for (auto it = std::upper_bound(nb.begin(), nb.end(), u); it != nb.end();
-         ++it) {
-      enc.u32(u);
-      enc.u32(*it);
+    const auto above = std::upper_bound(nb.begin(), nb.end(), u);
+    enc.varint(static_cast<std::uint32_t>(nb.end() - above));
+    Vertex prev = u;
+    for (auto it = above; it != nb.end(); ++it) {
+      enc.varint(*it - prev);
+      prev = *it;
     }
   }
 }
@@ -58,22 +67,34 @@ bool decode_edges(Decoder& dec, std::size_t n, std::vector<Edge>& out,
 
 std::optional<Graph> decode_graph(std::string_view payload,
                                   std::string* error, const char* what) {
+  const auto fail = [&](const char* why) {
+    if (error != nullptr) *error = std::string(what) + ": " + why;
+    return std::nullopt;
+  };
   Decoder dec(payload);
   const std::uint64_t n = dec.u64();
-  // Cap n well above any real deployment but low enough that a miraculous
-  // CRC collision cannot demand a pathological allocation.
-  if (!dec.ok() || n > (std::uint64_t{1} << 27)) {
-    if (error != nullptr) *error = std::string(what) + ": bad vertex count";
-    return std::nullopt;
-  }
+  // Every vertex costs at least one byte, its count, so the payload bounds
+  // n and a corrupt n cannot force a large allocation.
+  if (!dec.ok() || n > dec.remaining()) return fail("bad vertex count");
+  // Every neighbour costs at least one byte too.
   std::vector<Edge> edges;
-  if (!decode_edges(dec, static_cast<std::size_t>(n), edges, error, what)) {
-    return std::nullopt;
+  edges.reserve(static_cast<std::size_t>(dec.remaining() - n));
+  for (std::uint64_t u = 0; u < n; ++u) {
+    const std::uint32_t count = dec.varint();
+    if (!dec.ok()) return fail("bad varint");
+    if (count > n - 1 - u || count > dec.remaining()) {
+      return fail("row count out of range");
+    }
+    std::uint64_t v = u;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t gap = dec.varint();
+      if (!dec.ok()) return fail("bad varint");
+      v += gap;
+      if (gap == 0 || v >= n) return fail("neighbour out of range");
+      edges.push_back(Edge{static_cast<Vertex>(u), static_cast<Vertex>(v)});
+    }
   }
-  if (!dec.done()) {
-    if (error != nullptr) *error = std::string(what) + ": trailing bytes";
-    return std::nullopt;
-  }
+  if (!dec.done()) return fail("trailing bytes");
   return Graph::from_edges(static_cast<std::size_t>(n), edges);
 }
 
@@ -82,8 +103,7 @@ std::optional<Graph> decode_graph(std::string_view payload,
 std::string encode_checkpoint(const CheckpointData& data) {
   const std::size_t bytes =
       6 * kFrameHeaderBytes + (4 + 3 * 8) +
-      (8 + edges_bytes(data.graph.num_edges())) +
-      (8 + edges_bytes(data.spanner.num_edges())) +
+      graph_bytes(data.graph) + graph_bytes(data.spanner) +
       (8 + 4 * data.down_vertices.size() +
        edges_bytes(data.down_edges.size())) +
       (edges_bytes(data.debt.size()) + 6 * 8 + 2) + 4;

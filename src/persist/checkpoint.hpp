@@ -6,11 +6,20 @@
 // Record sequence (kinds below, each CRC-guarded by the frame layer):
 //
 //   kHeader      version, n, wave, epoch
-//   kGraph       the fault-free network G (edge list)
-//   kSpanner     the current *surviving* spanner H (edge list)
+//   kGraph       the fault-free network G (gap-coded rows)
+//   kSpanner     the current *surviving* spanner H (gap-coded rows)
 //   kFaults      the overlay: crashed vertices + individually-crashed edges
 //   kSupervisor  debt queue (in arrival order) + maintenance counters
 //   kFooter      record count — its presence proves the file is complete
+//
+// A gap-coded graph is n (u64), then for each vertex u in order: the
+// varint count of u's neighbours above u, then the varint gaps between
+// them, the first measured from u. At n = 2048, Δ = 320 almost every gap
+// fits one byte. Decoding fails closed unless every count is ≤ n−1−u and
+// ≤ the bytes left, every gap is ≥ 1 and keeps the neighbour below n,
+// every varint is in its shortest form of at most 5 bytes and < 2³², and
+// no byte is left over; since every vertex costs a byte, the payload also
+// bounds n.
 //
 // G is persisted in full so a checkpoint directory is self-contained: a
 // recovering process can validate its world without trusting any other
@@ -37,7 +46,9 @@
 
 namespace dcs::persist {
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2 gap-codes kGraph and kSpanner; version 1 stored them as edge
+/// lists and is refused like any other unknown version.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 enum class CheckpointRecord : std::uint8_t {
   kHeader = 1,

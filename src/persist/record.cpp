@@ -108,6 +108,22 @@ std::uint32_t Decoder::u32() {
   return p != nullptr ? read_u32le(p) : 0;
 }
 
+std::uint32_t Decoder::varint() {
+  std::uint64_t v = 0;
+  for (unsigned shift = 0; shift < 35; shift += 7) {
+    const unsigned char* p = take(1);
+    if (p == nullptr) return 0;
+    v |= static_cast<std::uint64_t>(*p & 0x7F) << shift;
+    if ((*p & 0x80) == 0) {
+      // A final zero group after the first byte pads the encoding.
+      if ((*p == 0 && shift > 0) || v > 0xFFFFFFFFull) break;
+      return static_cast<std::uint32_t>(v);
+    }
+  }
+  ok_ = false;
+  return 0;
+}
+
 std::uint64_t Decoder::u64() {
   const std::uint64_t lo = u32();
   const std::uint64_t hi = u32();

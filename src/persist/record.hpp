@@ -20,8 +20,9 @@
 //               and callers decide whether the prefix alone is acceptable.
 //
 // Payloads are encoded with the Encoder/Decoder helpers below: explicit
-// little-endian fixed-width integers, bounds-checked on decode, so a
-// checkpoint written on one machine replays identically on another.
+// little-endian fixed-width integers and LEB128 varints, bounds-checked on
+// decode, so a checkpoint written on one machine replays identically on
+// another.
 
 #include <bit>
 #include <cstdint>
@@ -59,6 +60,15 @@ class Encoder {
   void u8(std::uint8_t v) { *grab(1) = static_cast<char>(v); }
   void u32(std::uint32_t v) { store_le(grab(4), v); }
   void u64(std::uint64_t v) { store_le(grab(8), v); }
+  /// Unsigned LEB128: seven bits per byte, low group first, the high bit
+  /// set on every byte but the last; 1 to 5 bytes.
+  void varint(std::uint32_t v) {
+    while (v >= 0x80) {
+      u8(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    u8(static_cast<std::uint8_t>(v));
+  }
   void bytes(std::string_view b);
 
   /// Frames in place: begin_frame appends a frame header, and end_frame
@@ -108,6 +118,9 @@ class Decoder {
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
+  /// Reads what Encoder::varint writes. A varint cut short, longer than 5
+  /// bytes or not in its shortest form, or a value ≥ 2³², is a failure.
+  std::uint32_t varint();
 
   bool ok() const { return ok_; }
   /// True when every byte was consumed and no read overran.

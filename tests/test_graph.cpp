@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/graph.hpp"
+#include "traversal_corpus.hpp"
 
 namespace dcs {
 namespace {
@@ -140,6 +144,107 @@ TEST(Graph, ContainsSubgraph) {
   EXPECT_TRUE(g.contains_subgraph(Graph::from_edges(4, small)));
   EXPECT_FALSE(g.contains_subgraph(Graph::from_edges(4, other)));
   EXPECT_FALSE(g.contains_subgraph(Graph::from_edges(5, small)));
+}
+
+/// The n × ⌈n/64⌉-word bit matrix of g, row u holding N(u).
+std::vector<std::uint64_t> bit_rows(const Graph& g) {
+  const std::size_t words = (g.num_vertices() + 63) / 64;
+  std::vector<std::uint64_t> rows(g.num_vertices() * words, 0);
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    for (Vertex v : g.neighbors(u)) {
+      rows[u * words + v / 64] |= 1ull << (v % 64);
+    }
+  }
+  return rows;
+}
+
+TEST(Graph, FromBitRowsEqualsFromEdges) {
+  // The corpus has n that are not multiples of 64 and isolated vertices.
+  auto graphs = testing::corpus();
+  graphs.push_back(Graph(0));
+  for (const Graph& g : graphs) {
+    EXPECT_EQ(Graph::from_bit_rows(g.num_vertices(), bit_rows(g)),
+              Graph::from_edges(g.num_vertices(), g.edges()))
+        << "n=" << g.num_vertices() << " m=" << g.num_edges();
+  }
+}
+
+TEST(Graph, FromBitRowsRejectsDiagonalAndOutOfRangeBits) {
+  const Graph g = random_regular(130, 16, 5);
+  const std::size_t n = g.num_vertices();
+  const std::size_t words = (n + 63) / 64;
+  ASSERT_NE(n % 64, 0u);
+
+  std::vector<std::uint64_t> loop = bit_rows(g);
+  loop[7 * words + 0] |= 1ull << 7;  // bit (7,7)
+  EXPECT_THROW(Graph::from_bit_rows(n, loop), std::invalid_argument);
+
+  std::vector<std::uint64_t> beyond = bit_rows(g);
+  beyond[(n - 1) * words + words - 1] |= 1ull << (n % 64);  // bit (n-1, n)
+  EXPECT_THROW(Graph::from_bit_rows(n, beyond), std::invalid_argument);
+
+  const std::vector<std::uint64_t> rows = bit_rows(g);
+  EXPECT_THROW(
+      Graph::from_bit_rows(n, std::span(rows).first(rows.size() - 1)),
+      std::invalid_argument);  // one word short of n × ⌈n/64⌉
+}
+
+/// The reference contains_subgraph: one has_edge per edge of h.
+bool contains_by_edge(const Graph& g, const Graph& h) {
+  if (g.num_vertices() != h.num_vertices()) return false;
+  for (Edge e : h.edges()) {
+    if (!g.has_edge(e.u, e.v)) return false;
+  }
+  return true;
+}
+
+TEST(Graph, ContainsSubgraphAgreesWithPerEdgeReference) {
+  const auto graphs = testing::corpus();
+  std::size_t subgraphs = 0;
+  std::size_t others = 0;
+  const auto check = [&](const Graph& g, const Graph& h) {
+    const bool expected = contains_by_edge(g, h);
+    EXPECT_EQ(g.contains_subgraph(h), expected)
+        << "n=" << g.num_vertices() << " m=" << g.num_edges()
+        << " h.m=" << h.num_edges();
+    ++(expected ? subgraphs : others);
+  };
+  for (const Graph& g : graphs) {
+    const std::size_t n = g.num_vertices();
+    auto edges = g.edges();
+    // Every third edge dropped: a subgraph, and g is not one of it.
+    std::vector<Edge> kept;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (i % 3 != 0) kept.push_back(edges[i]);
+    }
+    const Graph h = Graph::from_edges(n, kept);
+    check(g, h);
+    check(h, g);
+    check(g, g);
+    check(g, Graph(n));
+    // g is not a subgraph of g minus its canonically last edge, whose
+    // rows are the last rows the merge reaches.
+    if (!edges.empty()) {
+      edges.pop_back();
+      const Graph missing_last = Graph::from_edges(n, edges);
+      check(missing_last, g);
+      EXPECT_FALSE(missing_last.contains_subgraph(g));
+    }
+    // Mismatched vertex counts never contain one another.
+    check(g, Graph(n + 1));
+    check(Graph(n + 1), g);
+  }
+  // Every ordered pair of distinct corpus graphs on the same vertex count.
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    for (std::size_t j = 0; j < graphs.size(); ++j) {
+      if (i != j && graphs[i].num_vertices() == graphs[j].num_vertices()) {
+        check(graphs[i], graphs[j]);
+      }
+    }
+  }
+  EXPECT_TRUE(Graph(0).contains_subgraph(Graph(0)));
+  EXPECT_GT(subgraphs, 0u);
+  EXPECT_GT(others, 0u);
 }
 
 TEST(GraphBuilder, BuildsAndValidates) {

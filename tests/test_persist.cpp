@@ -16,6 +16,7 @@
 #include "persist/wal.hpp"
 #include "resilience/churn_engine.hpp"
 #include "resilience/supervisor.hpp"
+#include "traversal_corpus.hpp"
 
 namespace dcs::persist {
 namespace {
@@ -108,6 +109,38 @@ TEST(Record, EncoderDecoderRoundTrip) {
   EXPECT_FALSE(over.ok());
   EXPECT_EQ(over.u64(), 0u);
   EXPECT_FALSE(over.done());
+}
+
+TEST(Record, VarintRoundTripAndRejects) {
+  const struct {
+    std::uint32_t value;
+    std::size_t bytes;
+  } cases[] = {{0, 1},         {1, 1},         {127, 1},
+               {128, 2},       {16383, 2},     {16384, 3},
+               {1u << 21, 4},  {(1u << 28) - 1, 4},
+               {1u << 28, 5},  {0xFFFFFFFFu, 5}};
+  for (const auto& c : cases) {
+    Encoder enc;
+    enc.varint(c.value);
+    const std::string bytes = enc.take();
+    EXPECT_EQ(bytes.size(), c.bytes) << c.value;
+    Decoder dec(bytes);
+    EXPECT_EQ(dec.varint(), c.value);
+    EXPECT_TRUE(dec.done()) << c.value;
+  }
+  const std::string rejected[] = {
+      std::string("\x80\x80\x80\x80\x80\x00", 6),  // longer than 5 bytes
+      std::string("\x80\x80\x80\x80\x10", 5),      // 2³²
+      std::string("\xff\xff\xff\xff\x7f", 5),      // 2³⁵ − 1
+      std::string("\x81\x00", 2),                  // 1, padded
+      std::string("\x80", 1),                      // cut short
+      std::string(),
+  };
+  for (const std::string& bytes : rejected) {
+    Decoder dec(bytes);
+    EXPECT_EQ(dec.varint(), 0u);
+    EXPECT_FALSE(dec.ok()) << bytes.size() << " bytes";
+  }
 }
 
 TEST(Record, ParseClassifiesCleanTornAndCorruptTails) {
@@ -279,8 +312,8 @@ TEST(Checkpoint, EncodingMatchesRecordedBytes) {
     digest ^= c;
     digest *= 0x100000001b3ull;
   }
-  EXPECT_EQ(bytes.size(), 1732u);
-  EXPECT_EQ(digest, 0x4bbe9132193218a1ull);
+  EXPECT_EQ(bytes.size(), 492u);
+  EXPECT_EQ(digest, 0x7358462d5f740f82ull);
 }
 
 TEST(Checkpoint, RejectsTamperedBytes) {
@@ -312,6 +345,140 @@ TEST(Checkpoint, RejectsTamperedBytes) {
     EXPECT_FALSE(
         decode_checkpoint(encode_checkpoint(bad_debt), &err).has_value());
   }
+}
+
+TEST(Checkpoint, GapCodedGraphsRoundTripOverCorpus) {
+  auto graphs = dcs::testing::corpus();
+  graphs.push_back(Graph(0));
+  for (const Graph& g : graphs) {
+    CheckpointData data;
+    data.wave = 3;
+    data.graph = g;
+    std::vector<Edge> kept;
+    const auto edges = g.edges();
+    for (std::size_t i = 0; i < edges.size(); i += 2) kept.push_back(edges[i]);
+    data.spanner = Graph::from_edges(g.num_vertices(), kept);
+    std::string err;
+    const auto decoded = decode_checkpoint(encode_checkpoint(data), &err);
+    ASSERT_TRUE(decoded.has_value())
+        << "n=" << g.num_vertices() << ": " << err;
+    EXPECT_TRUE(decoded->graph == data.graph) << "n=" << g.num_vertices();
+    EXPECT_TRUE(decoded->spanner == data.spanner) << "n=" << g.num_vertices();
+  }
+}
+
+/// `bytes` with the payload of record `index` replaced, re-framed so every
+/// CRC holds: what reaches the graph decoder is exactly `payload`.
+std::string with_payload(std::string_view bytes, std::size_t index,
+                         std::string_view payload) {
+  const ParsedRecords parsed = parse_records(bytes);
+  std::string out;
+  for (std::size_t i = 0; i < parsed.records.size(); ++i) {
+    append_frame(out, parsed.records[i].kind,
+                 i == index ? payload : parsed.records[i].payload);
+  }
+  return out;
+}
+
+/// A kGraph / kSpanner payload: n as a u64, then `rows` as raw bytes.
+std::string rows_payload(std::uint64_t n, std::string_view rows) {
+  Encoder enc;
+  enc.u64(n);
+  enc.bytes(rows);
+  return enc.take();
+}
+
+TEST(Checkpoint, DecodeRejectsMalformedGraphRows) {
+  const std::string bytes = encode_checkpoint(sample_checkpoint());
+  const std::size_t n = sample_checkpoint().graph.num_vertices();
+  const std::string empty_rows(n, '\0');  // every count 0: no edges
+  ASSERT_EQ(n, 32u);
+  const auto rows = [&](std::string_view head, std::size_t zero_rows) {
+    return std::string(head) + std::string(zero_rows, '\0');
+  };
+  const struct {
+    const char* what;
+    std::string payload;
+    const char* error;
+  } cases[] = {
+      {"overlong varint",
+       rows_payload(n, rows(std::string("\x80\x80\x80\x80\x80\x00", 6),
+                            n - 1)),
+       "graph: bad varint"},
+      {"padded varint",
+       rows_payload(n, rows(std::string("\x80\x00", 2), n - 1)),
+       "graph: bad varint"},
+      {"varint >= 2^32",
+       rows_payload(n, rows("\x80\x80\x80\x80\x10", n - 1)),
+       "graph: bad varint"},
+      {"count > n-1-u (u = 0)",
+       rows_payload(n, rows("\x20", n)),
+       "graph: row count out of range"},
+      {"count > n-1-u (u = n-1)",
+       rows_payload(n, rows("", n - 1) + "\x01\x01"),
+       "graph: row count out of range"},
+      {"count > bytes left",  // row 1 claims 30 neighbours, 27 bytes left
+       rows_payload(n, rows("\x03\x01\x01\x01\x1e", n - 5)),
+       "graph: row count out of range"},
+      {"gap past n-1",
+       rows_payload(n, rows("\x01\x20", n - 1)),
+       "graph: neighbour out of range"},
+      {"gap past n-1 (u = n-2)",
+       rows_payload(n, rows("", n - 2) + "\x01\x02" + '\0'),
+       "graph: neighbour out of range"},
+      {"zero gap",
+       rows_payload(n, rows(std::string("\x02\x01\x00", 3), n - 1)),
+       "graph: neighbour out of range"},
+      {"cut inside a varint",
+       rows_payload(n, rows("", n - 1) + "\x80"),
+       "graph: bad varint"},
+      {"trailing bytes",
+       rows_payload(n, empty_rows + '\0'),
+       "graph: trailing bytes"},
+      {"n larger than the payload allows",
+       rows_payload(n + 1, empty_rows),
+       "graph: bad vertex count"},
+      {"n = 2^40",
+       rows_payload(std::uint64_t{1} << 40, empty_rows),
+       "graph: bad vertex count"},
+      {"no n", std::string(7, '\0'), "graph: bad vertex count"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_FALSE(
+        decode_checkpoint(with_payload(bytes, 1, c.payload), &err)
+            .has_value())
+        << c.what;
+    EXPECT_EQ(err, c.error) << c.what;
+  }
+  // The spanner record goes through the same decoder.
+  std::string err;
+  EXPECT_FALSE(decode_checkpoint(
+                   with_payload(bytes, 2, rows_payload(n, empty_rows + '\0')),
+                   &err)
+                   .has_value());
+  EXPECT_EQ(err, "spanner: trailing bytes");
+  // And the well-formed edgeless rows decode (then fail H ⊆ G).
+  EXPECT_FALSE(
+      decode_checkpoint(with_payload(bytes, 1, rows_payload(n, empty_rows)),
+                        &err)
+          .has_value());
+  EXPECT_NE(err.find("subgraph"), std::string::npos) << err;
+}
+
+TEST(Checkpoint, Version1FailsClosed) {
+  const CheckpointData data = sample_checkpoint();
+  Encoder header;
+  header.u32(1);
+  header.u64(data.graph.num_vertices());
+  header.u64(data.wave);
+  header.u64(data.epoch);
+  std::string err;
+  EXPECT_FALSE(decode_checkpoint(
+                   with_payload(encode_checkpoint(data), 0, header.take()),
+                   &err)
+                   .has_value());
+  EXPECT_NE(err.find("version 1 unsupported"), std::string::npos) << err;
 }
 
 // --------------------------------------------------------------------- wal

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "core/expander_spanner.hpp"
 #include "core/regular_spanner.hpp"
 #include "core/router.hpp"
+#include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "routing/workloads.hpp"
 
@@ -163,6 +166,57 @@ TEST(RouteProblem, ThrowsWhenUnroutable) {
   RoutingProblem problem;
   problem.pairs = {{0, 3}};
   EXPECT_THROW(route_problem(router, problem, 1), std::invalid_argument);
+}
+
+/// FNV-1a over every path of the β certificate's matching routing (with
+/// each path's length as a separator) and its CongestionReport.
+std::uint64_t certificate_digest(std::size_t n, std::size_t delta,
+                                 std::uint64_t seed) {
+  const Graph g = random_regular(n, delta, seed);
+  const auto built = build_regular_spanner(g, {.seed = seed});
+  const DetourRouter router(built.spanner.h, built.sampled);
+  const RoutingProblem matching = random_matching_problem(g, seed);
+  const Routing routing = route_problem(router, matching, seed);
+  const CongestionReport report =
+      measure_matching_congestion(g, built.spanner.h, matching, router, seed);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  for (const Path& p : routing.paths) {
+    mix(p.size());
+    for (Vertex x : p) mix(x);
+  }
+  mix(report.base_congestion);
+  mix(report.spanner_congestion);
+  mix(std::bit_cast<std::uint64_t>(report.max_length_ratio));
+  return h;
+}
+
+TEST(DetourRouter, CertificateGoldenDigests) {
+  // Pins the detour draw: every path DetourRouter picks for the matching
+  // problem of the β certificate, and the report, on dense and sparser
+  // inputs. The digests were recorded when each draw merged N(u) with
+  // every N(z), so they also pin that marking N(u) once draws the same
+  // paths. The test also runs under DCS_FORCE_SCALAR=1.
+  const struct {
+    std::size_t n;
+    std::size_t delta;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  } cases[] = {
+      {2048, 320, 1, 0x1b04d87939f11e46ull},
+      {2048, 320, 2, 0xc1a06aad0a01dd47ull},
+      {2048, 320, 3, 0x92daecd558443beeull},
+      {512, 64, 1, 0xd8b26771d947d47aull},
+      {512, 64, 2, 0xddea759b9fbbcae2ull},
+      {512, 64, 3, 0xc807657b20ac8e80ull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(certificate_digest(c.n, c.delta, c.seed), c.digest)
+        << "n=" << c.n << " delta=" << c.delta << " seed=" << c.seed;
+  }
 }
 
 TEST(MatchingRouteFn, AdapterRoutesMatchings) {

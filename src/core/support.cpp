@@ -220,9 +220,8 @@ Dist ShortDistanceOracle::distance(Vertex u, Vertex v) const {
   }
   if (adjacency_.test(u, v)) return 1;
   if (ball_.test(u, v)) return 2;
-  return simd::and_popcount_at_least(ball_.row(u).data(),
-                                     adjacency_.row(v).data(),
-                                     adjacency_.words_per_row(), 1)
+  return simd::rows_meet(ball_.row(u).data(), adjacency_.row(v).data(),
+                         adjacency_.words_per_row())
              ? 3
              : kUnreachable;
 }

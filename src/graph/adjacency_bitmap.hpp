@@ -59,12 +59,10 @@ class AdjacencyBitmap {
   /// |N(u) ∩ N(v)| via a word-parallel popcount loop.
   std::size_t common_count(Vertex u, Vertex v) const;
 
-  /// common_count(u, v) >= k, stopping once k common neighbors are seen.
-  bool common_at_least(Vertex u, Vertex v, std::size_t k) const;
-
   /// The bases with at least k routers (Section 4): row u has bit z iff
-  /// z ≠ u and |N(u) ∩ N(z)| ≥ k. One common_at_least test per unordered
-  /// base (S is symmetric), filled in parallel over rows.
+  /// z ≠ u and |N(u) ∩ N(z)| ≥ k. Each unordered base is tested once (S
+  /// is symmetric), one simd::and_popcount_at_least_run per row, filled in
+  /// parallel over rows.
   AdjacencyBitmap supported_bases(std::size_t k) const;
 
   /// The radius-2 balls of `g`, whose adjacency this bitmap must be: row u

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #define DCS_LOG_COMPONENT "supervisor"
@@ -110,7 +111,7 @@ void SpannerSupervisor::attach_snapshots(serve::SnapshotStore* store) {
   publish_snapshot(state_.surviving(g_));
 }
 
-std::uint64_t SpannerSupervisor::publish_snapshot(const Graph& g_surv) {
+std::uint64_t SpannerSupervisor::publish_snapshot(Graph g_surv) {
   serve::SpannerCertificate cert;
   cert.alpha = last_check_.certified_alpha;
   cert.beta = options_.health.beta;
@@ -118,7 +119,8 @@ std::uint64_t SpannerSupervisor::publish_snapshot(const Graph& g_surv) {
   cert.ladder = ladder_;
   cert.fresh = !cert_dirty_;
   last_published_state_ = ladder_;
-  const std::uint64_t epoch = snapshots_->publish(g_surv, h_, cert);
+  const std::uint64_t epoch =
+      snapshots_->publish(std::move(g_surv), h_, cert);
   last_epoch_ = epoch;
   obs::FlightRecorder::instance().record(obs::FlightEventKind::kEpochPublish,
                                          to_string(ladder_), epoch, wave_);
@@ -194,7 +196,7 @@ SupervisorReport SpannerSupervisor::step(std::span<const FaultEvent> events) {
   //    queue the endangered edges as repair debt.
   state_.apply(events);
   report.events_applied = events.size();
-  const Graph g_surv = state_.surviving(g_);
+  Graph g_surv = state_.surviving(g_);
   h_ = state_.surviving(h_);
   if (!events.empty()) cert_dirty_ = true;
 
@@ -323,7 +325,7 @@ SupervisorReport SpannerSupervisor::step(std::span<const FaultEvent> events) {
   if (snapshots_ != nullptr &&
       (report.events_applied > 0 || report.repaired ||
        ladder_ != last_published_state_)) {
-    report.epoch = publish_snapshot(g_surv);
+    report.epoch = publish_snapshot(std::move(g_surv));
   }
 
   if (report.repaired) {

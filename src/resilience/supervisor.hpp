@@ -224,7 +224,8 @@ class SpannerSupervisor {
   void export_metrics(const SupervisorReport& report);
   /// Publishes {g_surv, h_, certificate-from-last_check_} to the attached
   /// store and returns the new epoch. Requires snapshots_ != nullptr.
-  std::uint64_t publish_snapshot(const Graph& g_surv);
+  /// g_surv is moved into the snapshot, so an epoch costs one copy of G.
+  std::uint64_t publish_snapshot(Graph g_surv);
   /// Serializes the full maintenance state for the durability plane.
   persist::CheckpointData make_checkpoint() const;
   /// Recertifies immediately against the current topology (used by

@@ -81,6 +81,30 @@ bool and_popcount_at_least_scalar(const std::uint64_t* a,
   return count >= k;
 }
 
+void and_popcount_at_least_run_scalar(const std::uint64_t* a,
+                                      const std::uint64_t* rows,
+                                      std::size_t words, std::size_t skip,
+                                      std::size_t z0, std::size_t z1,
+                                      std::size_t k, std::uint64_t* out) {
+  for (std::size_t z = z0; z < z1; ++z) {
+    const std::uint64_t bit = 1ull << (z & 63);
+    if (z != skip &&
+        and_popcount_at_least_scalar(a, rows + z * words, words, k)) {
+      out[z >> 6] |= bit;
+    } else {
+      out[z >> 6] &= ~bit;
+    }
+  }
+}
+
+bool rows_meet_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                      std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
 bool any_bit_of_scalar(const std::uint32_t* vs, std::size_t count,
                        const std::uint64_t* bits) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -121,6 +145,30 @@ bool and_popcount_at_least(const std::uint64_t* a, const std::uint64_t* b,
   }
 #endif
   return detail::and_popcount_at_least_scalar(a, b, words, k);
+}
+
+void and_popcount_at_least_run(const std::uint64_t* a,
+                               const std::uint64_t* rows, std::size_t words,
+                               std::size_t skip, std::size_t z0,
+                               std::size_t z1, std::size_t k,
+                               std::uint64_t* out) {
+#ifdef DCS_HAVE_AVX2
+  if (avx2_active()) {
+    detail::and_popcount_at_least_run_avx2(a, rows, words, skip, z0, z1, k,
+                                           out);
+    return;
+  }
+#endif
+  detail::and_popcount_at_least_run_scalar(a, rows, words, skip, z0, z1, k,
+                                           out);
+}
+
+bool rows_meet(const std::uint64_t* a, const std::uint64_t* b,
+               std::size_t words) {
+#ifdef DCS_HAVE_AVX2
+  if (avx2_active()) return detail::rows_meet_avx2(a, b, words);
+#endif
+  return detail::rows_meet_scalar(a, b, words);
 }
 
 bool any_bit_of(const std::uint32_t* vs, std::size_t count,

@@ -2,14 +2,16 @@
 
 // Runtime-dispatched SIMD kernels for the traversal core.
 //
-// Three hot loops dominate the traversal engine's cycle budget: the
+// Four hot loops dominate the traversal engine's cycle budget: the
 // word-parallel intersection popcount behind the support oracle (counted
-// in full, or only up to a threshold), the bottom-up parent search of
-// direction-optimizing BFS, and the 64-wide frontier merge of multi-source
-// BFS. Each kernel has exactly one scalar reference implementation here
-// and (when the binary was configured with DCS_ENABLE_AVX2) one AVX2
-// implementation in util/simd_avx2.cpp, compiled as a separately-flagged
-// translation unit so the rest of the binary stays portable.
+// in full, only up to a threshold, or thresholded over a whole run of
+// rows), the rows-meet test behind every d ≤ 3 answer, the bottom-up
+// parent search of direction-optimizing BFS, and the 64-wide frontier
+// merge of multi-source BFS. Each kernel has exactly one scalar reference
+// implementation here and (when the binary was configured with
+// DCS_ENABLE_AVX2) one AVX2 implementation in util/simd_avx2.cpp, compiled
+// as a separately-flagged translation unit so the rest of the binary stays
+// portable.
 //
 // Dispatch is resolved at runtime: the AVX2 path is taken only when it
 // was compiled in AND the executing CPU reports AVX2 AND the
@@ -61,11 +63,28 @@ std::size_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t words);
 
 /// and_popcount(a, b, words) >= k, stopping as soon as the running count
-/// reaches k. The support threshold test (AdjacencyBitmap::common_at_least
-/// and the Ê test of Algorithm 1), where the answer is usually settled in
-/// the first few words.
+/// reaches k. The support threshold test (the Ê test of Algorithm 1), where
+/// the answer is usually settled in the first few words.
 bool and_popcount_at_least(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t words, std::size_t k);
+
+/// The row-run form of and_popcount_at_least, dispatched once per run: for
+/// each z in [z0, z1), bit z of `out` (word z/64, bit z%64) becomes
+/// z != skip && and_popcount_at_least(a, rows + z·words, words, k). Bits of
+/// `out` outside the run keep their value. The supported-base fill
+/// (AdjacencyBitmap::supported_bases), where a is row u, skip is u, and
+/// nearly every base passes within its first 8 words.
+void and_popcount_at_least_run(const std::uint64_t* a,
+                               const std::uint64_t* rows, std::size_t words,
+                               std::size_t skip, std::size_t z0,
+                               std::size_t z1, std::size_t k,
+                               std::uint64_t* out);
+
+/// True iff a[i] & b[i] != 0 for some i < words: do the two bit rows
+/// meet? The d ≤ 3 test B₂(u) ∩ N(v) ≠ ∅ (core/support's
+/// ShortDistanceOracle).
+bool rows_meet(const std::uint64_t* a, const std::uint64_t* b,
+               std::size_t words);
 
 /// True iff any of the `count` 32-bit vertex ids in `vs` has its bit set
 /// in the bitset `bits` (bit v lives in bits[v >> 6]). The bottom-up
@@ -91,6 +110,13 @@ std::size_t and_popcount_scalar(const std::uint64_t* a,
 bool and_popcount_at_least_scalar(const std::uint64_t* a,
                                   const std::uint64_t* b, std::size_t words,
                                   std::size_t k);
+void and_popcount_at_least_run_scalar(const std::uint64_t* a,
+                                      const std::uint64_t* rows,
+                                      std::size_t words, std::size_t skip,
+                                      std::size_t z0, std::size_t z1,
+                                      std::size_t k, std::uint64_t* out);
+bool rows_meet_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                      std::size_t words);
 bool any_bit_of_scalar(const std::uint32_t* vs, std::size_t count,
                        const std::uint64_t* bits);
 void ms_propagate_scalar(const std::uint32_t* vs, std::size_t count,
@@ -105,6 +131,13 @@ std::size_t and_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t words);
 bool and_popcount_at_least_avx2(const std::uint64_t* a, const std::uint64_t* b,
                                 std::size_t words, std::size_t k);
+void and_popcount_at_least_run_avx2(const std::uint64_t* a,
+                                    const std::uint64_t* rows,
+                                    std::size_t words, std::size_t skip,
+                                    std::size_t z0, std::size_t z1,
+                                    std::size_t k, std::uint64_t* out);
+bool rows_meet_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                    std::size_t words);
 bool any_bit_of_avx2(const std::uint32_t* vs, std::size_t count,
                      const std::uint64_t* bits);
 void ms_propagate_avx2(const std::uint32_t* vs, std::size_t count,

@@ -8,6 +8,7 @@
 #include "core/verifier.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dcs {
 namespace {
@@ -185,10 +186,12 @@ TEST(RegularSpanner, EhatTestMatchesPerEdgeOracleOnBothSides) {
 }
 
 TEST(RegularSpanner, GoldenDigestsOnBothSidesOfEachRule) {
-  // Pins H per seed on each side of both path choices: the Ê test through
-  // the supported-base bitmap S, per edge on the adjacency bitmap, or per
-  // edge on the sorted merge; step 3 through G′'s radius-2 balls or the
-  // scalar merge (ShortDistanceOracle::balls_pay).
+  // Pins G′, both reinsert counts and H per seed on each side of both path
+  // choices: the Ê test through the supported-base bitmap S, per edge on
+  // the adjacency bitmap, or per edge on the sorted merge; step 3 through
+  // G′'s radius-2 balls or the scalar merge (ShortDistanceOracle::balls_pay).
+  // Each case also runs from inside a parallel region, where the row-block
+  // passes fall back to one block on the calling thread.
   const struct {
     const char* name;
     Graph g;
@@ -196,18 +199,21 @@ TEST(RegularSpanner, GoldenDigestsOnBothSidesOfEachRule) {
     bool bitmapped;    // SupportOracle(g).bitmapped()
     bool all_bases;    // the Ê test fills S
     bool step3_balls;  // step 3 fills G′'s balls
+    std::uint64_t sampled_digest;
+    std::size_t unsupported;
+    std::size_t undetoured;
     std::uint64_t digest;
   } cases[] = {
       {"random_regular(2048, 320, 1)", random_regular(2048, 320, 1), 1, true,
-       true, true, 0x5e4f7131ac9b6d83ull},
+       true, true, 0xed402b70f0f9efeeull, 0, 21327, 0x5e4f7131ac9b6d83ull},
       {"random_regular(2048, 64, 7)", random_regular(2048, 64, 7), 7, true,
-       false, true, 0xf5a8f01a4c61febeull},
+       false, true, 0x345b8cd1718158c3ull, 0, 44796, 0xf5a8f01a4c61febeull},
       {"random_regular(512, 64, 5)", random_regular(512, 64, 5), 5, true,
-       true, true, 0xc602decc88a903e4ull},
+       true, true, 0x16258ca163abebaaull, 0, 5375, 0xc602decc88a903e4ull},
       {"random_regular(130, 30, 2)", random_regular(130, 30, 2), 2, true,
-       true, true, 0xb3e61c3bd89921e4ull},
+       true, true, 0xc74adc05946f7108ull, 0, 655, 0xb3e61c3bd89921e4ull},
       {"ring_of_cliques(300, 15)", ring_of_cliques(300, 15), 4, false, false,
-       false, 0xb7c6ff86c27a10afull},
+       false, 0x51da62ec83be1954ull, 0, 5764, 0xb7c6ff86c27a10afull},
   };
   for (const auto& c : cases) {
     const auto built = build_regular_spanner(c.g, default_options(c.seed));
@@ -222,7 +228,19 @@ TEST(RegularSpanner, GoldenDigestsOnBothSidesOfEachRule) {
                                              removed),
               c.step3_balls)
         << c.name;
+    EXPECT_EQ(edge_digest(built.sampled), c.sampled_digest) << c.name;
+    EXPECT_EQ(built.reinserted_unsupported, c.unsupported) << c.name;
+    EXPECT_EQ(built.reinserted_undetoured, c.undetoured) << c.name;
     EXPECT_EQ(edge_digest(built.spanner.h), c.digest) << c.name;
+
+    RegularSpannerResult nested;
+    parallel_chunks(0, 1, [&](std::size_t, std::size_t, std::size_t) {
+      nested = build_regular_spanner(c.g, default_options(c.seed));
+    });
+    EXPECT_EQ(nested.sampled, built.sampled) << c.name;
+    EXPECT_EQ(nested.reinserted_unsupported, c.unsupported) << c.name;
+    EXPECT_EQ(nested.reinserted_undetoured, c.undetoured) << c.name;
+    EXPECT_EQ(nested.spanner.h, built.spanner.h) << c.name;
   }
 }
 

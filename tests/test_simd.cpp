@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/bfs.hpp"
@@ -86,6 +87,106 @@ TEST(Simd, AndPopcountAtLeastMatchesScalarTier) {
       EXPECT_EQ(simd::and_popcount_at_least(a.data(), b.data(), words, k),
                 scalar)
           << "words=" << words << " k=" << k;
+    }
+  }
+}
+
+/// `words` random words, each the AND of `sparsity` uniform words, so a
+/// bit is set with probability 2^-sparsity.
+std::vector<std::uint64_t> sparse_words(Rng& rng, std::size_t words,
+                                        int sparsity) {
+  std::vector<std::uint64_t> out(words, ~0ull);
+  for (auto& w : out) {
+    for (int i = 0; i < sparsity; ++i) w &= rng();
+  }
+  return out;
+}
+
+TEST(Simd, AndPopcountAtLeastRunMatchesPerPairReference) {
+  ForceScalarGuard guard;
+  Rng rng(107);
+  // 150 rows, so a run spans three words of `out` and ends mid-word.
+  constexpr std::size_t kRows = 150;
+  // Word counts 1–40 cover the AVX2 path's short-row fallback (< 8), its
+  // 8-word head alone, and heads followed by 8-word blocks and scalar
+  // tails of every length.
+  for (std::size_t words = 1; words <= 40; ++words) {
+    // 1 bit in 4, 8 or 16 set: AND popcounts from about words·4 down to
+    // words/4, so a+1 = 6 falls on both sides of many rows.
+    const auto rows = sparse_words(rng, kRows * words, 2 + words % 3);
+    const std::size_t u = rng.uniform(kRows);
+    const std::uint64_t* a = rows.data() + u * words;
+    // The fill's own run (u's diagonal block to the end), the whole range,
+    // runs that start and end mid-word around u, one bit, and none.
+    const std::size_t mid = rng.uniform(kRows);
+    const std::pair<std::size_t, std::size_t> runs[] = {
+        {u & ~std::size_t{63}, kRows},
+        {0, kRows},
+        {std::min(u, mid), std::max(u, mid) + 1},
+        {u == 0 ? 0 : u - 1, std::min(kRows, u + 70)},
+        {u, u + 1},
+        {mid, mid},
+    };
+    for (const std::size_t k : {std::size_t{1}, std::size_t{6},
+                                64 * words + 1}) {
+      for (const auto& [z0, z1] : runs) {
+        // Bits outside the run must keep their (random) values.
+        const auto before = sparse_words(rng, (kRows + 63) / 64, 1);
+        auto expected = before;
+        for (std::size_t z = z0; z < z1; ++z) {
+          const bool pass =
+              z != u && simd::detail::and_popcount_scalar(
+                            a, rows.data() + z * words, words) >= k;
+          expected[z >> 6] = (expected[z >> 6] & ~(1ull << (z & 63))) |
+                             (std::uint64_t{pass} << (z & 63));
+        }
+        for (const bool scalar : {true, false}) {
+          simd::set_force_scalar(scalar);
+          auto out = before;
+          simd::and_popcount_at_least_run(a, rows.data(), words, u, z0, z1, k,
+                                          out.data());
+          EXPECT_EQ(out, expected)
+              << "words=" << words << " k=" << k << " u=" << u
+              << " run=[" << z0 << "," << z1 << ") scalar=" << scalar;
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, RowsMeetMatchesPerWordReference) {
+  ForceScalarGuard guard;
+  Rng rng(108);
+  for (std::size_t words = 1; words <= 40; ++words) {
+    const auto check = [&](const std::vector<std::uint64_t>& a,
+                           const std::vector<std::uint64_t>& b) {
+      const bool expected =
+          simd::detail::and_popcount_scalar(a.data(), b.data(), words) > 0;
+      for (const bool scalar : {true, false}) {
+        simd::set_force_scalar(scalar);
+        EXPECT_EQ(simd::rows_meet(a.data(), b.data(), words), expected)
+            << "words=" << words << " scalar=" << scalar;
+      }
+    };
+    const auto complement = [](std::vector<std::uint64_t> row) {
+      for (auto& w : row) w = ~w;
+      return row;
+    };
+    for (int sparsity = 1; sparsity <= 8; ++sparsity) {
+      const auto a = sparse_words(rng, words, sparsity);
+      check(a, sparse_words(rng, words, sparsity));
+      check(a, complement(a));
+      // Rows that meet in one bit of their first or last word: the last
+      // sits in the AVX2 path's scalar tail, 4-word step or last block,
+      // depending on the word count.
+      for (const std::size_t only : {std::size_t{0}, words - 1}) {
+        const std::uint64_t bit = 1ull << rng.uniform(64);
+        auto a1 = a;
+        a1[only] |= bit;
+        auto b1 = complement(a1);
+        b1[only] |= bit;
+        check(a1, b1);
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "graph/traversal.hpp"
 #include "traversal_corpus.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 // Equivalence property tests pinning the batched traversal engine
 // (multi-source BFS, direction-optimizing BFS) and the bitmap support
@@ -142,8 +143,12 @@ TEST(AdjacencyBitmap, MatchesScalarSupportOnCorpus) {
       const auto reference = common_neighbors(g, u, v);
       const std::size_t support = base_support(g, u, v);
       EXPECT_EQ(bm.common_count(u, v), support);
-      EXPECT_TRUE(bm.common_at_least(u, v, support));
-      EXPECT_FALSE(bm.common_at_least(u, v, support + 1));
+      EXPECT_TRUE(simd::and_popcount_at_least(
+          bm.row(u).data(), bm.row(v).data(), bm.words_per_row(), support));
+      EXPECT_FALSE(simd::and_popcount_at_least(bm.row(u).data(),
+                                               bm.row(v).data(),
+                                               bm.words_per_row(),
+                                               support + 1));
       bm.common_into(u, v, out);
       EXPECT_EQ(out, reference);
     }

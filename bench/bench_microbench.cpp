@@ -504,6 +504,38 @@ void BM_BitmapSupportTest(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapSupportTest);
 
+/// Algorithm 1 step 3's ball test B₂(u) ∩ N(v) ≠ ∅ in G′ at n = 2048,
+/// Δ = 320, over the removed edges of G whose ends are more than 2 apart
+/// in G′: simd::rows_meet (Arg 1) against the threshold kernel at k = 1
+/// (Arg 0), which gives the same answers.
+void BM_Step3RowsMeet(benchmark::State& state) {
+  static const Graph sampled =
+      build_regular_spanner(shared_graph(2048, 320), {}).sampled;
+  static const AdjacencyBitmap adjacency(sampled);
+  static const AdjacencyBitmap ball = adjacency.two_ball(sampled);
+  static const std::vector<Edge> pairs = [] {
+    std::vector<Edge> out;
+    for (const Edge& e : shared_graph(2048, 320).edges()) {
+      if (!ball.test(e.u, e.v)) out.push_back(e);
+    }
+    return out;
+  }();
+  const std::size_t words = adjacency.words_per_row();
+  for (auto _ : state) {
+    std::size_t met = 0;
+    for (const Edge& e : pairs) {
+      const std::uint64_t* a = ball.row(e.u).data();
+      const std::uint64_t* b = adjacency.row(e.v).data();
+      met += state.range(0) != 0 ? simd::rows_meet(a, b, words)
+                                 : simd::and_popcount_at_least(a, b, words, 1);
+    }
+    benchmark::DoNotOptimize(met);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    pairs.size()));
+}
+BENCHMARK(BM_Step3RowsMeet)->Arg(0)->Arg(1);
+
 void BM_Renumber(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph& g = shared_graph(n, 16);

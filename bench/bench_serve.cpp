@@ -6,11 +6,12 @@
 //
 //  1. Batched-vs-naive throughput on two serving substrates — a regular
 //     spanner and an expander spanner. The naive oracle runs one scalar
-//     bfs_distances per query; the engine coalesces the same queries into
-//     64-wide MS-BFS sweeps behind an LRU row cache. Answers must be
-//     checksum-identical and the batched path must clear a 3x speedup
-//     floor, otherwise this binary exits 1 (the CI serve-smoke job treats
-//     that as a failed gate).
+//     bfs_distances per query; the engine answers every pair within
+//     distance 3 from the spanner's adjacency bitmap and coalesces the
+//     rest into 64-wide MS-BFS sweeps. Answers must be checksum-identical
+//     and the batched path must clear a 3x speedup floor, otherwise this
+//     binary exits 1 (the CI serve-smoke job treats that as a failed
+//     gate).
 //
 //  2. A closed-loop client sweep (1/4/16 clients): offered load vs
 //     throughput and exact p50/p99 submit-to-completion latency, plus the
@@ -31,6 +32,10 @@
 // the traced path must stay within 3% of the untraced one, and the
 // tracer's tail exemplars are exported as the "request_trace" key of
 // BENCH_serve.json.
+//
+// A 1024-vertex spanner is dense enough for the adjacency bitmap
+// (AdjacencyBitmap::worthwhile); the EDF gate's 30,000-vertex sparse
+// substrate is not, so each of its windows pays a real sweep.
 //
 // Usage: bench_serve [--quick]    (--quick shrinks sizes for smoke runs)
 
@@ -66,7 +71,8 @@ using serve::ServeOptions;
 constexpr double kSpeedupFloor = 3.0;
 
 /// Skewed point-query workload: half the queries hit a small hot set of
-/// sources (repeat traffic the row cache should absorb), half are uniform.
+/// sources (repeat traffic that coalescing folds into one ball row or one
+/// sweep lane per source), half are uniform.
 std::vector<Query> skewed_queries(const Graph& g, std::size_t count,
                                   std::size_t hot_sources,
                                   std::uint64_t seed) {
@@ -94,9 +100,8 @@ std::uint64_t checksum_results(const std::vector<QueryResult>& results) {
 
 /// Section 1: same queries through the scalar oracle and the batched
 /// engine; returns false if answers differ or the speedup floor is missed.
-bool compare_batched_vs_naive(bench::PerfRecord& rec, const char* name,
-                              const Graph& h, std::size_t num_queries,
-                              std::size_t window) {
+bool compare_batched_vs_naive(const char* name, const Graph& h,
+                              std::size_t num_queries, std::size_t window) {
   const auto queries = skewed_queries(h, num_queries, 16, 271828);
 
   // Both oracles fold their checksum per window so the streams compare
@@ -126,10 +131,11 @@ bool compare_batched_vs_naive(bench::PerfRecord& rec, const char* name,
   const double speedup = naive_ms / batched_ms;
   const auto stats = engine.stats();
 
-  const double lookups =
+  // The bitmap's share of the distance answers (ServeStats::cache_hits).
+  const double answered =
       static_cast<double>(stats.cache_hits + stats.cache_misses);
   const double hit_ratio =
-      lookups > 0 ? static_cast<double>(stats.cache_hits) / lookups : 0.0;
+      answered > 0 ? static_cast<double>(stats.cache_hits) / answered : 0.0;
   auto& reg = obs::MetricsRegistry::instance();
   const std::string prefix = std::string("bench.serve.") + name;
   reg.gauge(prefix + "_naive_ms").set(naive_ms);
@@ -139,7 +145,7 @@ bool compare_batched_vs_naive(bench::PerfRecord& rec, const char* name,
 
   std::printf(
       "%-10s %7zu queries   naive %9.2f ms   batched %8.2f ms   "
-      "speedup %6.2fx   sweeps over %" PRIu64 " sources, 2Q hit ratio "
+      "speedup %6.2fx   sweeps over %" PRIu64 " sources, bitmap share "
       "%.2f\n",
       name, queries.size(), naive_ms, batched_ms, speedup,
       stats.coalesced_sources, hit_ratio);
@@ -292,7 +298,6 @@ bool closed_loop_sweep(const Graph& h, std::size_t per_client) {
 /// Returns false if the shed accounting does not conserve queries.
 bool overload_demo(const Graph& h, std::size_t burst) {
   ServeOptions options;
-  options.cache_rows = 1;  // every batch pays BFS work
   options.batch_window = 8;
   options.admission.queue_capacity = 64;
   QueryEngine engine(h, options);
@@ -331,12 +336,10 @@ bool deadline_burst_demo(const Graph& h, std::size_t flood_windows,
                          std::size_t tagged_count) {
   constexpr std::size_t kWindow = 32;
 
-  // Calibrate the deadline to this machine: one cold window's sweep cost.
+  // Calibrate the deadline to this machine: one window's sweep cost.
   double sweep_us = 0.0;
   {
-    ServeOptions options;
-    options.cache_rows = 1;
-    QueryEngine probe(h, options);
+    QueryEngine probe(h);
     std::vector<Query> window(kWindow);
     for (std::size_t i = 0; i < kWindow; ++i) {
       window[i].u = static_cast<Vertex>(i);
@@ -355,7 +358,6 @@ bool deadline_burst_demo(const Graph& h, std::size_t flood_windows,
   std::printf("\ndeadline burst (%zu-query flood + %zu tagged @%.1f ms):\n",
               flood, tagged_count, static_cast<double>(deadline_us) / 1e3);
   ServeOptions options;
-  options.cache_rows = 1;  // every window pays a real sweep
   options.batch_window = kWindow;
   options.admission.queue_capacity = 0;  // shed only at deadlines
   QueryEngine engine(h, options);
@@ -413,7 +415,7 @@ bool deadline_burst_demo(const Graph& h, std::size_t flood_windows,
 /// Section 5: the tracing-overhead gate. The same batched workload served
 /// with request tracing off and with exemplar sampling on, each timed as
 /// the min of `kRuns` fresh-engine runs (min-of-N discards scheduler
-/// noise; a fresh engine per run keeps the cache state identical). The
+/// noise; a fresh engine per run keeps the route rows identical). The
 /// traced/untraced runs are *interleaved* rather than run as two blocks:
 /// machine-load drift then hits both arms equally instead of biasing
 /// whichever arm ran during the noisy window.
@@ -478,10 +480,10 @@ int main(int argc, char** argv) {
   }
   bench::PerfRecord rec("serve");
   bench::print_header(
-      "Query serving: batched MS-BFS oracle vs one-BFS-per-query",
-      "Point queries coalesced into 64-wide sweeps behind an LRU row cache "
-      "must answer identically to the scalar oracle and clear a 3x "
-      "throughput floor.");
+      "Query serving: batched bitmap + MS-BFS oracle vs one-BFS-per-query",
+      "Point queries answered from the adjacency bitmap within distance 3 "
+      "and coalesced into 64-wide sweeps beyond it must answer identically "
+      "to the scalar oracle and clear a 3x throughput floor.");
 
   const std::size_t queries = quick ? 2048 : 8192;
   const std::size_t per_client = quick ? 256 : 1024;
@@ -502,8 +504,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   {
     ScopedTimer t(rec.phase("batched_vs_naive"));
-    ok &= compare_batched_vs_naive(rec, "regular", regular_h, queries, 1024);
-    ok &= compare_batched_vs_naive(rec, "expander", expander_h, queries, 1024);
+    ok &= compare_batched_vs_naive("regular", regular_h, queries, 1024);
+    ok &= compare_batched_vs_naive("expander", expander_h, queries, 1024);
   }
   {
     ScopedTimer t(rec.phase("closed_loop"));

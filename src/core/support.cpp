@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/simd.hpp"
 
 namespace dcs {
 
@@ -218,12 +217,7 @@ Dist ShortDistanceOracle::distance(Vertex u, Vertex v) const {
     if (base_support(g_, u, v) > 0) return 2;
     return find_3detours(g_, u, v, /*limit=*/1).empty() ? kUnreachable : 3;
   }
-  if (adjacency_.test(u, v)) return 1;
-  if (ball_.test(u, v)) return 2;
-  return simd::rows_meet(ball_.row(u).data(), adjacency_.row(v).data(),
-                         adjacency_.words_per_row())
-             ? 3
-             : kUnreachable;
+  return adjacency_.distance_within_3(u, ball_.row(u), v);
 }
 
 }  // namespace dcs

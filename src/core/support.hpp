@@ -114,7 +114,8 @@ class SupportOracle {
 /// u ≠ v, d(u,v) ≤ 2 iff v ∈ B₂(u) and d(u,v) ≤ 3 iff B₂(u) ∩ N(v) ≠ ∅.
 /// When balls_pay() holds, construction fills g's adjacency bitmap and its
 /// two-ball bitmap (AdjacencyBitmap::two_ball) and every query is one bit
-/// test or one rows-meet test (simd::rows_meet); otherwise queries run the
+/// test or one rows-meet test (AdjacencyBitmap::distance_within_3, the
+/// rule the serving engine answers with too); otherwise queries run the
 /// scalar merges above. The answers are identical either way (pinned by
 /// tests/test_traversal.cpp).
 ///

@@ -125,17 +125,28 @@ AdjacencyBitmap AdjacencyBitmap::two_ball(const Graph& g) const {
   // Each worker writes only the rows of its own range.
   parallel_chunks(0, n_, [&](std::size_t lo, std::size_t hi, std::size_t) {
     for (std::size_t u = lo; u < hi; ++u) {
-      std::uint64_t* out = ball.bits_.data() + u * words_;
-      const std::uint64_t* own = bits_.data() + u * words_;
-      std::copy(own, own + words_, out);
-      out[u >> 6] |= 1ull << (u & 63);
-      for (Vertex w : g.neighbors(static_cast<Vertex>(u))) {
-        const std::uint64_t* in = bits_.data() + std::size_t{w} * words_;
-        for (std::size_t i = 0; i < words_; ++i) out[i] |= in[i];
-      }
+      ball_row(g, static_cast<Vertex>(u),
+               {ball.bits_.data() + u * words_, words_});
     }
   });
   return ball;
+}
+
+void AdjacencyBitmap::ball_row(const Graph& g, Vertex u,
+                               std::span<std::uint64_t> out) const {
+  DCS_REQUIRE(g.num_vertices() == n_ && out.size() == words_,
+              "ball_row needs the graph this bitmap was built from");
+  // A local word count: dst's words could alias words_ itself, and the
+  // compiler would then reload it after every OR instead of vectorizing.
+  const std::size_t words = words_;
+  std::uint64_t* dst = out.data();
+  const std::uint64_t* own = bits_.data() + std::size_t{u} * words;
+  std::copy(own, own + words, dst);
+  dst[u >> 6] |= 1ull << (u & 63);
+  for (Vertex w : g.neighbors(u)) {
+    const std::uint64_t* in = bits_.data() + std::size_t{w} * words;
+    for (std::size_t i = 0; i < words; ++i) dst[i] |= in[i];
+  }
 }
 
 std::size_t AdjacencyBitmap::common_into(Vertex u, Vertex v,

@@ -11,8 +11,10 @@
 // graph and only when the density justifies it (see worthwhile()); every
 // consumer keeps the sorted-merge path as the scalar fallback. Two derived
 // bitmaps reuse the rows: the supported bases S of the Ê test, and the
-// radius-2 balls behind every d ≤ 3 test (core/support's
-// ShortDistanceOracle).
+// radius-2 balls behind every d ≤ 3 test. That test, distance_within_3, is
+// the one d ≤ 3 rule from build to serve: core/support's
+// ShortDistanceOracle asks it over a whole two_ball bitmap, the serving
+// engine over one ball_row per distinct query source.
 //
 // Obs: bitmap.builds counts constructions from a graph. Queries count
 // nothing: they run millions of times per build from every pool worker.
@@ -21,7 +23,9 @@
 #include <span>
 #include <vector>
 
+#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
+#include "util/simd.hpp"
 
 namespace dcs {
 
@@ -66,10 +70,25 @@ class AdjacencyBitmap {
   AdjacencyBitmap supported_bases(std::size_t k) const;
 
   /// The radius-2 balls of `g`, whose adjacency this bitmap must be: row u
-  /// is {u} ∪ N(u) ∪ N(N(u)). For u ≠ v, d(u,v) ≤ 2 iff bit v of row u,
-  /// and d(u,v) ≤ 3 iff row u meets N(v). Filled in parallel over rows,
-  /// each the OR of its neighbours' adjacency rows.
+  /// is ball_row(g, u). Filled in parallel over rows.
   AdjacencyBitmap two_ball(const Graph& g) const;
+
+  /// B₂(u) = {u} ∪ N(u) ∪ N(N(u)) of `g`, whose adjacency this bitmap
+  /// must be, written into `out` (words_per_row() words): row u and u's
+  /// own bit, ORed with the rows of u's neighbours.
+  void ball_row(const Graph& g, Vertex u, std::span<std::uint64_t> out) const;
+
+  /// The d ≤ 3 rule, for u ≠ v and `ball` = B₂(u) (ball_row, or row u of
+  /// two_ball): 1 on an adjacency bit, 2 on a ball bit, 3 when B₂(u) meets
+  /// N(v), otherwise kUnreachable, which here means only "not within 3".
+  /// Inline: certification and serving call it once per query.
+  Dist distance_within_3(Vertex u, std::span<const std::uint64_t> ball,
+                         Vertex v) const {
+    if (test(u, v)) return 1;
+    if ((ball[v >> 6] >> (v & 63)) & 1) return 2;
+    return simd::rows_meet(ball.data(), row(v).data(), words_) ? 3
+                                                               : kUnreachable;
+  }
 
   /// Materializes N(u) ∩ N(v) in increasing order into `out` (cleared
   /// first); returns the count.

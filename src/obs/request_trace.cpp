@@ -121,7 +121,8 @@ void RequestTracer::offer_batch(const std::vector<RequestExemplar>& batch) {
       r.slots.push_back(e);
     } else {
       r.slots[r.next] = e;
-      r.next = (r.next + 1) % r.capacity;
+      // An increment, not a modulo: this runs once per kept exemplar.
+      if (++r.next == r.capacity) r.next = 0;
     }
     ++r.total;
   }

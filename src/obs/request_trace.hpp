@@ -40,8 +40,8 @@ struct TraceContext {
 /// microseconds on the shared obs clock (Trace::now_us); total_us is
 /// end-to-end (submit → answer ready) and the phases partition it:
 /// queue_us (submit → dispatcher drain) + dispatch_us (drain → sweep start)
-/// + execute_us (coalesce + MS-BFS sweep) + row_fill_us (route next-hop
-/// fill; 0 for distance queries).
+/// + execute_us (coalesce, bitmap, MS-BFS sweep) + row_fill_us (route
+/// next-hop fill; 0 for distance queries).
 struct RequestExemplar {
   std::uint64_t trace_id = 0;
   std::uint64_t batch_id = 0;  ///< dispatch batch (causal parent), 0 = none
@@ -51,7 +51,7 @@ struct RequestExemplar {
   std::uint32_t dispatcher = 0;  ///< dispatcher that executed the batch
                                  ///< (1-based); 0 = synchronous path or
                                  ///< shed before reaching a dispatcher
-  bool cache_hit = false;      ///< answered from the distance-row cache
+  bool cache_hit = false;      ///< distance answered from the adjacency bitmap
   double start_us = 0.0;       ///< submit timestamp (obs clock)
   double queue_us = 0.0;
   double dispatch_us = 0.0;

@@ -57,9 +57,8 @@ std::vector<serve::Query> wave_queries(std::uint64_t seed, std::size_t w,
                                        std::size_t qps, std::size_t n) {
   Rng rng(mix64(mix64(seed, kQuerySalt), w));
   // Half the sources come from a small hot set: skewed traffic is the
-  // realistic case the 2Q cache exists for, and repeat sources are what
-  // give a stale distance row the chance to answer (which is exactly the
-  // read the query-certified invariant must catch).
+  // realistic case, and repeat sources are what the engine coalesces into
+  // one ball row or one sweep lane per source.
   const std::uint64_t hot = std::min<std::uint64_t>(8, n);
   std::vector<serve::Query> batch(qps);
   for (serve::Query& q : batch) {
@@ -75,11 +74,11 @@ std::vector<serve::Query> wave_queries(std::uint64_t seed, std::size_t w,
 /// The query-certified invariant, one answer at a time. Returns a detail
 /// string on the first violated clause:
 ///  * a served answer must carry the pinned epoch, be *exact* on that
-///    snapshot's spanner (a stale cache row fails here), and sit inside
-///    the published envelope d_H(u,v) ≤ α_cert·d_G(u,v) — sound for
-///    kHeld/kDegraded certificates because every surviving G-edge is
-///    measured, so the per-edge bound extends to pairs by subdividing a
-///    shortest G-path;
+///    snapshot's spanner (an answer from an older epoch fails here), and
+///    sit inside the published envelope d_H(u,v) ≤ α_cert·d_G(u,v) —
+///    sound for kHeld/kDegraded certificates because every surviving
+///    G-edge is measured, so the per-edge bound extends to pairs by
+///    subdividing a shortest G-path;
 ///  * a shed answer must carry a structured reason the published
 ///    certificate actually justifies.
 std::optional<std::string> check_query_answer(

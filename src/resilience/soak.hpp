@@ -103,8 +103,8 @@ struct SoakOptions {
   /// adoption — soaks under churn and crash-recovery too.
   std::size_t dispatchers = 1;
 
-  /// Harness self-test: enable QueryEngine::inject_stale_cache_bug() so a
-  /// distance-row cache that survives epoch swaps proves the
+  /// Harness self-test: enable QueryEngine::inject_stale_cache_bug() so
+  /// distances answered from the epoch pinned at wiring time prove the
   /// query-certified invariant catches stale reads (requires qps > 0).
   bool inject_stale_cache_bug = false;
 

@@ -35,17 +35,6 @@ double surviving_average_degree(const Graph& g) {
          static_cast<double>(active);
 }
 
-std::vector<Edge> candidate_edges(const Graph& g_surviving,
-                                  std::span<const Vertex> frontier) {
-  std::vector<std::uint8_t> dirty(g_surviving.num_vertices(), 0);
-  for (Vertex v : frontier) dirty[v] = 1;
-  std::vector<Edge> candidates;
-  for (Edge e : g_surviving.edges()) {
-    if (dirty[e.u] || dirty[e.v]) candidates.push_back(e);
-  }
-  return candidates;
-}
-
 std::size_t count_endpoints(std::span<const Edge> edges, std::size_t n) {
   std::vector<std::uint8_t> seen(n, 0);
   std::size_t count = 0;
@@ -57,12 +46,6 @@ std::size_t count_endpoints(std::span<const Edge> edges, std::size_t n) {
   return count;
 }
 
-RepairResult repair_with_candidates(const Graph& g_surviving,
-                                    const Graph& h_surviving,
-                                    std::span<const Edge> candidates,
-                                    std::size_t frontier_vertices,
-                                    const SpannerRepairOptions& options);
-
 }  // namespace
 
 const char* to_string(RepairOutcome outcome) {
@@ -72,34 +55,6 @@ const char* to_string(RepairOutcome outcome) {
     case RepairOutcome::kRebuilt: return "rebuilt";
   }
   return "?";
-}
-
-std::vector<Vertex> damage_frontier(const Graph& g,
-                                    std::span<const FaultEvent> events) {
-  std::vector<std::uint8_t> mark(g.num_vertices(), 0);
-  auto mark_neighborhood = [&](Vertex w) {
-    for (Vertex x : g.neighbors(w)) mark[x] = 1;
-  };
-  for (const FaultEvent& e : events) {
-    switch (e.kind) {
-      case FaultKind::kVertexDown:
-      case FaultKind::kVertexUp:
-        mark_neighborhood(e.u);
-        break;
-      case FaultKind::kEdgeDown:
-      case FaultKind::kEdgeUp:
-        mark[e.u] = 1;
-        mark[e.v] = 1;
-        mark_neighborhood(e.u);
-        mark_neighborhood(e.v);
-        break;
-    }
-  }
-  std::vector<Vertex> frontier;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (mark[v]) frontier.push_back(v);
-  }
-  return frontier;
 }
 
 std::vector<Edge> repair_candidates(const Graph& g, const Graph& g_surviving,
@@ -165,29 +120,8 @@ std::vector<Edge> repair_candidates(const Graph& g, const Graph& g_surviving,
 
 RepairResult repair_spanner(const Graph& g_surviving,
                             const Graph& h_surviving,
-                            std::span<const Vertex> frontier,
-                            const SpannerRepairOptions& options) {
-  return repair_with_candidates(g_surviving, h_surviving,
-                                candidate_edges(g_surviving, frontier),
-                                frontier.size(), options);
-}
-
-RepairResult repair_spanner(const Graph& g_surviving,
-                            const Graph& h_surviving,
                             std::span<const Edge> candidates,
                             const SpannerRepairOptions& options) {
-  return repair_with_candidates(
-      g_surviving, h_surviving, candidates,
-      count_endpoints(candidates, g_surviving.num_vertices()), options);
-}
-
-namespace {
-
-RepairResult repair_with_candidates(const Graph& g_surviving,
-                                    const Graph& h_surviving,
-                                    std::span<const Edge> candidates,
-                                    std::size_t frontier_vertices,
-                                    const SpannerRepairOptions& options) {
   DCS_REQUIRE(g_surviving.num_vertices() == h_surviving.num_vertices(),
               "repair inputs must share the vertex set");
   DCS_REQUIRE(g_surviving.contains_subgraph(h_surviving),
@@ -209,6 +143,8 @@ RepairResult repair_with_candidates(const Graph& g_surviving,
                    << r.reinserted_edges << " reinserted";
   };
 
+  const std::size_t frontier_vertices =
+      count_endpoints(candidates, g_surviving.num_vertices());
   RepairResult result;
   result.frontier_vertices = frontier_vertices;
   result.candidate_edges = candidates.size();
@@ -363,8 +299,6 @@ RepairResult repair_with_candidates(const Graph& g_surviving,
   note(result, broken.size());
   return result;
 }
-
-}  // namespace
 
 RepairResult repair_spanner_after(const Graph& g, const Graph& h,
                                   const FaultState& state,

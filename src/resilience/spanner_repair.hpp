@@ -8,19 +8,20 @@
 // neighborhood. The repair engine re-runs exactly that machinery around the
 // damage:
 //
-//  * damage frontier — replacement paths have length ≤ 3 with interior
-//    vertices adjacent to the endpoints, so an edge's coverage can only
-//    break if an endpoint is adjacent (in G) to a crashed vertex or to an
-//    endpoint of a crashed edge. Those adjacent vertices form the frontier;
-//    only surviving G-edges touching it need re-examination.
+//  * endangered edges (repair_candidates) — a replacement path has length
+//    ≤ 3, so a faulted element can sit on it only near the covered edge:
+//    a crashed or recovered vertex w endangers the surviving G-edges with
+//    an endpoint in N_G(w), and a crashed or recovered edge (x,z) only
+//    those with one endpoint in N_G[x] and the other in N_G[z]. Only
+//    those edges need re-examination.
 //
-//  * detour patch (Theorem 3 / Algorithm 1): re-sample frontier edges with
-//    the construction's deterministic per-edge coin (restoring router
-//    capacity), then re-apply the Ê test — reinsert every frontier edge
+//  * detour patch (Theorem 3 / Algorithm 1): re-sample endangered edges
+//    with the construction's deterministic per-edge coin (restoring router
+//    capacity), then re-apply the Ê test — reinsert every endangered edge
 //    that is no longer (a,b)-supported in G∖F or has no surviving
 //    replacement of length ≤ 3 in the patched spanner.
 //
-//  * matching patch (Theorem 2): for every frontier edge without a
+//  * matching patch (Theorem 2): for every endangered edge without a
 //    surviving short replacement, rebuild the neighborhood matching
 //    M_{u,v} between N(u) and N(v) on the survivors and splice one matched
 //    3-hop path into the spanner; reinsert the edge itself if the
@@ -28,7 +29,8 @@
 //
 // Both strategies guarantee the repaired spanner is a 3-distance spanner
 // of G∖F deterministically (every examined edge ends covered; unexamined
-// edges kept their pre-fault replacement by the frontier argument). When
+// edges kept their pre-fault replacement by the same locality argument).
+// When
 // the damage exceeds `rebuild_threshold`, locality stops paying and the
 // engine falls back to a full rebuild on the surviving graph.
 
@@ -73,46 +75,34 @@ struct SpannerRepairOptions {
 struct RepairResult {
   Graph h;  ///< repaired spanner (a subgraph of the surviving graph)
   RepairOutcome outcome = RepairOutcome::kNoop;
-  std::size_t frontier_vertices = 0;
+  std::size_t frontier_vertices = 0;  ///< endpoints of the candidate edges
   std::size_t candidate_edges = 0;   ///< surviving edges re-examined
   std::size_t resampled_edges = 0;   ///< capacity edges added (coin / matching)
   std::size_t reinserted_edges = 0;  ///< edges reinserted for the 3-stretch
   double seconds = 0.0;              ///< wall-clock cost of this repair
 };
 
-/// Vertices whose incident coverage may have been invalidated by `events`:
-/// for a crashed or recovered vertex w, N_G(w); for a crashed or recovered
-/// edge (x,z), {x,z} ∪ N_G(x) ∪ N_G(z). Computed against the fault-free
-/// G so recovered elements are found even while they are down.
-std::vector<Vertex> damage_frontier(const Graph& g,
-                                    std::span<const FaultEvent> events);
-
-/// The precise endangered-edge set: surviving G-edges whose length-≤3
+/// The endangered-edge set: surviving G-edges whose length-≤3
 /// replacement could have traversed a faulted element. A crashed/recovered
 /// vertex w endangers edges with an endpoint in N_G(w); a crashed/recovered
 /// edge (x,z) endangers only pairs with one endpoint in N_G[x] and the
 /// other in N_G[z] — a ≤3-hop path can use (x,z) in no other position.
-/// Much tighter than edges-touching-the-frontier under edge faults, which
-/// keeps the patch local even at ~10% edge-fault rates.
+/// Computed against the fault-free G so recovered elements are found even
+/// while they are down. Far tighter than every edge touching a faulted
+/// element's neighbourhood under edge faults, which keeps the patch local
+/// even at ~10% edge-fault rates.
 std::vector<Edge> repair_candidates(const Graph& g, const Graph& g_surviving,
                                     std::span<const FaultEvent> events);
 
 /// Incrementally repairs `h_surviving` into a 3-distance spanner of
-/// `g_surviving`, re-examining only the edges touching `frontier`.
-RepairResult repair_spanner(const Graph& g_surviving,
-                            const Graph& h_surviving,
-                            std::span<const Vertex> frontier,
-                            const SpannerRepairOptions& options = {});
-
-/// Same, with the endangered edges already computed (see
-/// `repair_candidates`); this is the overload `repair_spanner_after` uses.
+/// `g_surviving`, re-examining only `candidates` (see repair_candidates).
 RepairResult repair_spanner(const Graph& g_surviving,
                             const Graph& h_surviving,
                             std::span<const Edge> candidates,
                             const SpannerRepairOptions& options = {});
 
 /// Convenience wrapper: filters G and H through `state`, derives the
-/// frontier from `events`, and repairs.
+/// endangered edges from `events`, and repairs.
 RepairResult repair_spanner_after(const Graph& g, const Graph& h,
                                   const FaultState& state,
                                   std::span<const FaultEvent> events,

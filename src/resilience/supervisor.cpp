@@ -239,9 +239,7 @@ SupervisorReport SpannerSupervisor::step(std::span<const FaultEvent> events) {
             ? debt_.size()
             : std::min(options_.repair_budget, debt_.size());
     std::vector<Edge> batch(debt_.begin(), debt_.begin() + batch_size);
-    const auto repaired =
-        repair_spanner(g_surv, h_, std::span<const Edge>(batch),
-                       options_.repair);
+    const auto repaired = repair_spanner(g_surv, h_, batch, options_.repair);
     h_ = repaired.h;
     debt_.erase(debt_.begin(), debt_.begin() + batch_size);
     for (Edge e : batch) debt_set_.erase(e);

@@ -47,8 +47,6 @@ struct ServeMetrics {
       obs::MetricsRegistry::instance().counter("serve.cache.hits");
   obs::Counter& cache_misses =
       obs::MetricsRegistry::instance().counter("serve.cache.misses");
-  obs::Counter& cache_evictions =
-      obs::MetricsRegistry::instance().counter("serve.cache.evictions");
   obs::Gauge& cache_hit_ratio =
       obs::MetricsRegistry::instance().gauge("serve.cache.hit_ratio");
   obs::Counter& route_rows_filled =
@@ -119,8 +117,7 @@ QueryEngine::QueryEngine(SnapshotStore& store, ServeOptions options)
       admission_(options.admission),
       n_(store.num_vertices()),
       serving_(store.pin()),
-      tables_(serving_->spanner, options.seed),
-      sync_context_(std::max<std::size_t>(1, options.cache_rows)) {
+      tables_(serving_->spanner, options.seed) {
   init_engine();
 }
 
@@ -131,19 +128,13 @@ QueryEngine::QueryEngine(const Graph& h, ServeOptions options)
       admission_(options.admission),
       n_(h.num_vertices()),
       serving_(store_->pin()),
-      tables_(serving_->spanner, options.seed),
-      sync_context_(std::max<std::size_t>(1, options.cache_rows)) {
+      tables_(serving_->spanner, options.seed) {
   init_engine();
 }
 
 void QueryEngine::init_engine() {
   serving_epoch_.store(serving_->epoch, std::memory_order_relaxed);
   n_epochs_adopted_.store(1, std::memory_order_relaxed);
-  const std::size_t count = std::max<std::size_t>(1, options_.dispatchers);
-  contexts_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    contexts_.emplace_back(std::max<std::size_t>(1, options_.cache_rows));
-  }
 }
 
 QueryEngine::~QueryEngine() { stop(); }
@@ -164,10 +155,7 @@ std::vector<QueryResult> QueryEngine::serve_batch(
   metrics().queries.inc(queries.size());
   metrics().distance_queries.inc(distance);
   metrics().route_queries.inc(queries.size() - distance);
-  // Sync callers share one context; dispatchers keep running on theirs
-  // concurrently.
-  std::lock_guard sync(sync_mutex_);
-  if (!options_.trace.exemplars) return execute(queries, sync_context_, 0);
+  if (!options_.trace.exemplars) return execute(queries, 0);
 
   // Traced synchronous path: the batch-call latency is the whole story (no
   // queue/dispatch phases), so the whole batch shares one total_us. Ids come
@@ -176,7 +164,7 @@ std::vector<QueryResult> QueryEngine::serve_batch(
   // (the ≤3% tracing-overhead gate in bench_serve holds the line).
   obs::RequestTracer& tracer = obs::RequestTracer::instance();
   BatchMeta meta;
-  std::vector<QueryResult> results = execute(queries, sync_context_, 0, &meta);
+  std::vector<QueryResult> results = execute(queries, 0, &meta);
   const double done_obs = obs::Trace::now_us();
   const double total_us = done_obs - meta.start_obs_us;
   const std::uint64_t first_id = tracer.next_trace_id_block(
@@ -240,23 +228,10 @@ void QueryEngine::adopt_locked() {
   // re-dropping, or re-binding (the store counts their skips).
   SnapshotRef latest = store_->pin_if_newer(serving_->epoch);
   if (latest == nullptr) return;
-  // The caches were materialized against the previous epoch's topology;
-  // none of their contents may answer queries on this one. (The injected
-  // stale-cache bug skips exactly this drop — the soak harness's
-  // query-certified invariant exists to catch it.)
-  const std::size_t dropped = cached_rows_locked();
-  if (!stale_cache_bug_.load(std::memory_order_relaxed)) {
-    sync_context_.rows.clear();
-    for (ServeContext& c : contexts_) c.rows.clear();
-  }
-  // Re-sync the lock-free row-count mirror and the owner watermarks: every
-  // executor is quiescent under this exclusive lock, so the recomputed sum
-  // is exact (and nonzero on the injected stale-cache path, which keeps
-  // its rows).
-  sync_context_.rows_exported = sync_context_.rows.size();
-  for (ServeContext& c : contexts_) c.rows_exported = c.rows.size();
-  n_cached_rows_.store(static_cast<std::int64_t>(cached_rows_locked()),
-                       std::memory_order_relaxed);
+  // The route rows were filled against the previous epoch's topology; none
+  // of them may answer queries on this one. Distances need no drop: they
+  // are read from the adopted snapshot itself.
+  const std::size_t dropped = tables_.rows_filled();
   serving_ = std::move(latest);
   tables_.reset(serving_->spanner);
   serving_epoch_.store(serving_->epoch, std::memory_order_release);
@@ -276,8 +251,12 @@ bool QueryEngine::should_shed_degraded() const {
   return static_cast<int>(cert.ladder) >= static_cast<int>(options_.shed_at);
 }
 
+void QueryEngine::inject_stale_cache_bug() {
+  std::unique_lock exclusive(substrate_mutex_);
+  stale_ = serving_;
+}
+
 std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
-                                              ServeContext& ctx,
                                               std::uint32_t dispatcher_id,
                                               BatchMeta* meta) {
   std::shared_lock lock(substrate_mutex_);
@@ -320,65 +299,97 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
     return results;
   }
 
-  const Graph& h = serving_->spanner;
-  std::uint64_t unreachable = 0;
-  const auto answer_distance = [&](QueryResult& r, Dist d) {
-    r.distance = d;
-    if (d == kUnreachable) ++unreachable;
-  };
+  // Distances are read from the adopted snapshot, or from the one the
+  // injected stale-read bug pinned.
+  const ServeSnapshot& distances = stale_ != nullptr ? *stale_ : *serving_;
+  const Graph& h = distances.spanner;
+  const AdjacencyBitmap& adjacency = distances.adjacency;
 
-  // Phase 1: coalesce. Distance queries are keyed by their BFS source;
-  // cached rows answer immediately, misses group per distinct source.
-  // Route queries are keyed by destination (a next-hop row is per-dest).
-  std::unordered_map<Vertex, std::vector<std::size_t>> miss_by_source;
-  std::vector<Vertex> missing_sources;
+  // Phase 1: coalesce. Distance queries are grouped by their BFS source,
+  // route queries keyed by destination (a next-hop row is per-dest).
+  std::unordered_map<Vertex, std::size_t> slot_of;
+  std::vector<Vertex> sources;                   // distinct, first-seen order
+  std::vector<std::vector<std::size_t>> groups;  // query indices per source
   std::vector<std::size_t> route_indices;
   std::vector<Vertex> route_dests;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     DCS_REQUIRE(q.u < n_ && q.v < n_, "query vertex out of range");
     if (q.kind == QueryKind::kDistance) {
-      if (const std::vector<Dist>* row = ctx.rows.find(q.u)) {
-        results[i].cache_hit = true;
-        answer_distance(results[i], (*row)[q.v]);
-      } else {
-        const auto [it, fresh] = miss_by_source.try_emplace(q.u);
-        if (fresh) missing_sources.push_back(q.u);
-        it->second.push_back(i);
+      const auto [it, fresh] = slot_of.try_emplace(q.u, sources.size());
+      if (fresh) {
+        sources.push_back(q.u);
+        groups.emplace_back();
       }
+      groups[it->second].push_back(i);
     } else {
       route_indices.push_back(i);
       route_dests.push_back(q.v);
     }
   }
 
-  // Phase 2: one 64-wide MS-BFS sweep per chunk of distinct missing
-  // sources. A single-chunk batch (the common closed-loop shape) sweeps
-  // inline on this thread rather than waking the whole shared pool for one
-  // chunk. Multi-chunk batches fan out on the pool, which runs one
-  // top-level batch at a time (a concurrent caller sweeps on its own
-  // thread). Materialized rows land in locals first so eviction order
-  // cannot snatch a row before its queries are answered.
-  if (!missing_sources.empty()) {
-    n_sources_.fetch_add(missing_sources.size(), std::memory_order_relaxed);
-    m.coalesced_sources.inc(missing_sources.size());
+  // Phase 2: the bitmap. One ball row B₂(u) per distinct source answers
+  // u = v and every pair within distance 3; the pairs it leaves open stay
+  // in their source's group for the sweep, and sources left with none drop
+  // out. Without a bitmap every pair is open.
+  std::uint64_t hits = 0;
+  if (!adjacency.empty()) {
+    std::vector<std::uint64_t> ball(adjacency.words_per_row());
+    std::size_t kept = 0;
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      const Vertex u = sources[s];
+      adjacency.ball_row(h, u, ball);
+      std::vector<std::size_t>& group = groups[s];
+      std::size_t open = 0;
+      for (const std::size_t qi : group) {
+        const Vertex v = queries[qi].v;
+        const Dist d = v == u ? 0 : adjacency.distance_within_3(u, ball, v);
+        if (d == kUnreachable) {
+          group[open++] = qi;
+        } else {
+          results[qi].distance = d;
+          results[qi].cache_hit = true;
+          ++hits;
+        }
+      }
+      group.resize(open);
+      if (open == 0) continue;
+      if (kept != s) {
+        sources[kept] = u;
+        groups[kept] = std::move(group);
+      }
+      ++kept;
+    }
+    sources.resize(kept);
+    groups.resize(kept);
+  }
+
+  // Phase 3: one 64-wide MS-BFS sweep per chunk of open sources, each
+  // query answered straight from the sweep's view. A single-chunk batch
+  // (the common closed-loop shape) sweeps inline on this thread rather
+  // than waking the whole shared pool for one chunk. Multi-chunk batches
+  // fan out on the pool, which runs one top-level batch at a time (a
+  // concurrent caller sweeps on its own thread); each chunk writes only
+  // its own sources' results.
+  std::uint64_t misses = 0;
+  if (!sources.empty()) {
+    n_sources_.fetch_add(sources.size(), std::memory_order_relaxed);
+    m.coalesced_sources.inc(sources.size());
     const std::size_t num_chunks =
-        (missing_sources.size() + kMsBfsBatch - 1) / kMsBfsBatch;
-    std::vector<std::vector<Dist>> fresh_rows(missing_sources.size());
+        (sources.size() + kMsBfsBatch - 1) / kMsBfsBatch;
     const auto sweep_chunks = [&](std::size_t lo, std::size_t hi) {
       auto& scratch = traversal_scratch();
       for (std::size_t c = lo; c < hi; ++c) {
         const std::size_t first = c * kMsBfsBatch;
         const std::size_t count =
-            std::min(kMsBfsBatch, missing_sources.size() - first);
-        const std::span<const Vertex> sweep(missing_sources.data() + first,
-                                            count);
-        const MsBfsView view =
-            multi_source_bfs(h, sweep, kUnreachable, &scratch);
+            std::min(kMsBfsBatch, sources.size() - first);
+        const MsBfsView view = multi_source_bfs(
+            h, std::span<const Vertex>(sources.data() + first, count),
+            kUnreachable, &scratch);
         for (std::size_t i = 0; i < count; ++i) {
-          std::vector<Dist>& row = fresh_rows[first + i];
-          row.resize(n_);
-          for (Vertex v = 0; v < n_; ++v) row[v] = view.at(i, v);
+          for (const std::size_t qi : groups[first + i]) {
+            results[qi].distance = view.at(i, queries[qi].v);
+          }
         }
       }
     };
@@ -390,24 +401,18 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
                         sweep_chunks(lo, hi);
                       });
     }
-    for (std::size_t s = 0; s < missing_sources.size(); ++s) {
-      const Vertex u = missing_sources[s];
-      for (const std::size_t qi : miss_by_source[u]) {
-        answer_distance(results[qi], fresh_rows[s][queries[qi].v]);
-      }
-      ctx.rows.insert(u, std::move(fresh_rows[s]));
-    }
+    for (const auto& group : groups) misses += group.size();
   }
 
-  // The sweep (phases 1–2) is done; everything after this stamp is route
-  // row fill. Batch phases are attributed whole to each query — see
+  // The distance phases (1–3) are done; everything after this stamp is
+  // route row fill. Batch phases are attributed whole to each query — see
   // QueryLatencyBreakdown.
   const double sweep_done_us = batch_timer.seconds() * 1e6;
 
-  // Phase 3: routes. Lazily fill the next-hop rows for this batch's
-  // distinct destinations, then walk each path. tables_ is shared across
-  // contexts (rows are substrate-keyed, not context-keyed) and not
-  // internally synchronized, so the fill+walk serializes on route_mutex_.
+  // Phase 4: routes. Lazily fill the next-hop rows for this batch's
+  // distinct destinations, then walk each path. tables_ is shared by every
+  // executor and not internally synchronized, so the fill+walk serializes
+  // on route_mutex_.
   if (!route_indices.empty()) {
     std::lock_guard route_lock(route_mutex_);
     const std::size_t before = tables_.rows_filled();
@@ -419,47 +424,29 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
       const Query& q = queries[qi];
       QueryResult& r = results[qi];
       r.path = tables_.route(q.u, q.v);
-      if (r.path.empty()) {
-        ++unreachable;
-        r.distance = kUnreachable;
-      } else {
-        r.distance = static_cast<Dist>(path_length(r.path));
-      }
+      r.distance = r.path.empty() ? kUnreachable
+                                  : static_cast<Dist>(path_length(r.path));
     }
   }
 
+  std::uint64_t unreachable = 0;
+  for (const QueryResult& r : results) {
+    if (r.distance == kUnreachable) ++unreachable;
+  }
   n_unreachable_.fetch_add(unreachable, std::memory_order_relaxed);
   m.unreachable.inc(unreachable);
   n_served_.fetch_add(queries.size(), std::memory_order_relaxed);
 
-  // Export this context's cache-tally deltas. The watermarks live in the
-  // context and only its owner writes them, so concurrent executors each
-  // export exactly their own delta — the shared-counter read-modify-write
-  // this replaces double-counted under concurrency.
-  const std::uint64_t d_hits = ctx.rows.hits() - ctx.hits_exported;
-  const std::uint64_t d_misses = ctx.rows.misses() - ctx.misses_exported;
-  const std::uint64_t d_evictions =
-      ctx.rows.evictions() - ctx.evictions_exported;
-  ctx.hits_exported = ctx.rows.hits();
-  ctx.misses_exported = ctx.rows.misses();
-  ctx.evictions_exported = ctx.rows.evictions();
-  const std::size_t rows_now = ctx.rows.size();
-  n_cached_rows_.fetch_add(static_cast<std::int64_t>(rows_now) -
-                               static_cast<std::int64_t>(ctx.rows_exported),
-                           std::memory_order_relaxed);
-  ctx.rows_exported = rows_now;
-  m.cache_hits.inc(d_hits);
-  m.cache_misses.inc(d_misses);
-  m.cache_evictions.inc(d_evictions);
+  m.cache_hits.inc(hits);
+  m.cache_misses.inc(misses);
   const std::uint64_t hits_total =
-      n_hits_.fetch_add(d_hits, std::memory_order_relaxed) + d_hits;
+      n_hits_.fetch_add(hits, std::memory_order_relaxed) + hits;
   const std::uint64_t misses_total =
-      n_misses_.fetch_add(d_misses, std::memory_order_relaxed) + d_misses;
-  n_evictions_.fetch_add(d_evictions, std::memory_order_relaxed);
-  const std::uint64_t lookups = hits_total + misses_total;
-  if (lookups > 0) {
+      n_misses_.fetch_add(misses, std::memory_order_relaxed) + misses;
+  const std::uint64_t answered = hits_total + misses_total;
+  if (answered > 0) {
     m.cache_hit_ratio.set(static_cast<double>(hits_total) /
-                          static_cast<double>(lookups));
+                          static_cast<double>(answered));
   }
 
   const double elapsed_us = batch_timer.seconds() * 1e6;
@@ -482,7 +469,8 @@ void QueryEngine::start() {
     if (state_ != State::kIdle) return;
     state_ = State::kRunning;
   }
-  for (std::size_t i = 0; i < contexts_.size(); ++i) {
+  const std::size_t count = std::max<std::size_t>(1, options_.dispatchers);
+  for (std::size_t i = 0; i < count; ++i) {
     threads_.emplace_back([this, i] { dispatcher_loop(i); });
   }
 }
@@ -671,7 +659,7 @@ void QueryEngine::process_batch(std::size_t index,
   try {
     BatchMeta meta;
     std::vector<QueryResult> results =
-        execute(live, contexts_[index], dispatcher_id, &meta);
+        execute(live, dispatcher_id, &meta);
     const std::uint64_t done = now_us();
     const double done_obs_us = obs::Trace::now_us();
     const bool slo_on = obs::metrics_enabled();
@@ -723,7 +711,6 @@ ServeStats QueryEngine::stats() const {
   s.coalesced_sources = n_sources_.load(std::memory_order_relaxed);
   s.cache_hits = n_hits_.load(std::memory_order_relaxed);
   s.cache_misses = n_misses_.load(std::memory_order_relaxed);
-  s.cache_evictions = n_evictions_.load(std::memory_order_relaxed);
   s.route_rows_filled = n_rows_filled_.load(std::memory_order_relaxed);
   s.shed_admission = n_shed_admission_.load(std::memory_order_relaxed);
   s.shed_deadline = n_shed_deadline_.load(std::memory_order_relaxed);
@@ -732,22 +719,6 @@ ServeStats QueryEngine::stats() const {
   s.unreachable = n_unreachable_.load(std::memory_order_relaxed);
   s.epochs_adopted = n_epochs_adopted_.load(std::memory_order_relaxed);
   return s;
-}
-
-std::size_t QueryEngine::cached_rows_locked() const {
-  std::size_t total = sync_context_.rows.size();
-  for (const ServeContext& c : contexts_) total += c.rows.size();
-  return total;
-}
-
-std::size_t QueryEngine::cached_rows() const {
-  // Lock-free mirror, like the other stats: each executor folds its row-
-  // count delta in at batch end (owner-only watermark) and adoption
-  // re-syncs it under the exclusive lock. Taking the exclusive substrate
-  // lock here instead would turn every introspection poll into a barrier
-  // that stalls all dispatchers and sync callers.
-  const std::int64_t v = n_cached_rows_.load(std::memory_order_relaxed);
-  return v > 0 ? static_cast<std::size_t>(v) : 0;
 }
 
 }  // namespace dcs::serve

@@ -11,16 +11,20 @@
 //
 //  * Coalescing.  Point queries are grouped by their BFS endpoint —
 //    Distance{u,v} by source u, Route{u,v} by destination v (a next-hop
-//    table row is per-destination) — and the distinct endpoints of a batch
-//    are advanced through one 64-wide multi_source_bfs sweep of H
-//    (graph/traversal's MS-BFS engine, previously used only by offline
-//    verification). One sweep of the adjacency serves a whole word of
-//    concurrent queries, which is where the ≥3× over one-BFS-per-query
-//    comes from.
+//    table row is per-destination). On Theorem 3's H nearly every distance
+//    is at most 3, so each distinct source first ORs its radius-2 ball
+//    B₂(u) out of the snapshot's adjacency bitmap and answers its pairs
+//    with the d ≤ 3 rule (AdjacencyBitmap::distance_within_3, the one
+//    Algorithm 1 and α certification use): one bit test or one rows-meet
+//    per query. The pairs the bitmap leaves open (d ≥ 4, unreachable, or
+//    no bitmap on a sparse substrate) are advanced through 64-wide
+//    multi_source_bfs sweeps of H (graph/traversal's MS-BFS engine) and
+//    answered straight from the sweep's view. One sweep of the adjacency
+//    serves a whole word of concurrent sources, which is where the ≥3× over
+//    one-BFS-per-query comes from on substrates without a bitmap.
 //
-//  * Bounded everything.  Materialized distance rows live in bounded
-//    scan-resistant 2Q caches (serve/lru_cache.hpp), one per execution
-//    context, so repeat sources are cache hits; route rows fill lazily
+//  * Bounded everything.  No per-source distance row is kept: the bitmap
+//    is the snapshot's, built once per epoch; route rows fill lazily
 //    (routing/tables LazyRoutingTables); admission control
 //    (serve/admission.hpp) bounds the pending queue globally and sheds
 //    deadline-expired queries with packet_sim-style terminal outcomes, so
@@ -31,9 +35,9 @@
 //    from immutable ServeSnapshots pinned out of a SnapshotStore
 //    (serve/snapshot.hpp). When the maintenance plane (the
 //    SpannerSupervisor) publishes a new epoch, the first batch to notice
-//    *adopts* it — dropping every cached distance row and lazy route row,
-//    because both were materialized against the previous topology — and
-//    in-flight batches finish on the epoch they pinned. Every result
+//    *adopts* it — dropping every lazy route row, because those were
+//    filled against the previous topology — and in-flight batches finish
+//    on the epoch they pinned. Every result
 //    carries the epoch it was served under. When the published
 //    certificate is too weak to stand behind (ladder at/past
 //    ServeOptions::shed_at, guarantees lost, or stale when freshness is
@@ -53,14 +57,12 @@
 //    fits, otherwise the window's most deadline-pressed queries
 //    (edf_select; EDF is global) — and notify_one()s a sibling when it
 //    leaves work behind, so no dispatcher idles while queries wait.
-//    Each dispatcher executes on its own 2Q row-cache context.
 //  * All dispatchers serve under ONE pinned snapshot. Per batch, epoch
 //    currency costs two atomic loads (store epoch vs adopted epoch); only
 //    when they differ does a dispatcher take the exclusive substrate lock
-//    and adopt — pinning once, dropping every context's row cache once,
-//    and rebinding the route tables once per epoch, no matter how many
-//    dispatchers are in flight (SnapshotStore::pin_if_newer makes the
-//    race-losing adopters free).
+//    and adopt — pinning once and rebinding the route tables once per
+//    epoch, no matter how many dispatchers are in flight
+//    (SnapshotStore::pin_if_newer makes the race-losing adopters free).
 //  * Shutdown. state_ ∈ {kIdle, kRunning, kDraining} is read and written
 //    only under queue_mutex_, which also guards queue_ and the cv
 //    predicate (queue non-empty, or state_ != kRunning). submit()
@@ -73,8 +75,9 @@
 //    every dispatcher, so drained batches finish before it returns.
 //
 // serve_batch() remains the synchronous core (benches, tests, and the
-// soak's lockstep mode use it directly); sync callers serialize on their
-// own context and run concurrently with the dispatchers.
+// soak's lockstep mode use it directly). An execution keeps no state of
+// its own, so sync callers need no serialization: like the dispatchers
+// they hold the substrate lock shared, and only route fills serialize.
 //
 // Instrumentation: a trace span per dispatched batch, serve.* counters,
 // the dispatcher id on every result/exemplar, and serve.latency.us /
@@ -100,7 +103,6 @@
 #include "routing/routing.hpp"
 #include "routing/tables.hpp"
 #include "serve/admission.hpp"
-#include "serve/lru_cache.hpp"
 #include "serve/snapshot.hpp"
 
 namespace dcs::serve {
@@ -122,7 +124,7 @@ struct Query {
 
 /// Per-query latency decomposition, microseconds. The phases partition the
 /// end-to-end latency: queue_us (submit → dispatcher drain) + dispatch_us
-/// (drain → sweep start) + execute_us (coalesce + MS-BFS sweep) +
+/// (drain → sweep start) + execute_us (coalesce, bitmap, MS-BFS sweep) +
 /// row_fill_us (route next-hop fill). Batch-level phases (execute,
 /// row_fill) are attributed whole to every query in the batch — the
 /// question they answer is "what was this query waiting on", not "what
@@ -156,15 +158,14 @@ struct QueryResult {
   /// 0 = synchronous serve_batch() path or shed before reaching a
   /// dispatcher (admission/shutdown).
   std::uint32_t dispatcher = 0;
-  /// Distance query answered from the 2Q row cache without a sweep.
+  /// Distance query answered from the snapshot's adjacency bitmap (u = v
+  /// or d ≤ 3) without a sweep. The name is older than the bitmap: it
+  /// used to mark a distance-row cache hit, and its readers keep it.
   bool cache_hit = false;
   QueryLatencyBreakdown breakdown;
 };
 
 struct ServeOptions {
-  /// Distance rows kept in each execution context's 2Q cache (one context
-  /// per dispatcher, plus one for the synchronous path).
-  std::size_t cache_rows = 256;
   /// Queries drained per dispatch; larger windows coalesce better but add
   /// queueing latency under saturation. A larger backlog is drained
   /// earliest-deadline-first, so near-deadline queries are not shed behind
@@ -173,8 +174,8 @@ struct ServeOptions {
   AdmissionOptions admission;
   /// Tie-break seed for lazily built route tables.
   std::uint64_t seed = 1;
-  /// Dispatcher threads draining the one submit queue, each with its own
-  /// row-cache context — see the thread-model diagram above.
+  /// Dispatcher threads draining the one submit queue — see the
+  /// thread-model diagram above.
   std::size_t dispatchers = 1;
   /// Ladder threshold for graceful degradation: a batch pinned to a
   /// snapshot whose ladder state is >= this sheds with kShedDegraded.
@@ -208,9 +209,13 @@ struct ServeStats {
   std::uint64_t served = 0;
   std::uint64_t batches = 0;
   std::uint64_t coalesced_sources = 0;  ///< distinct BFS endpoints swept
+  /// Served distance queries answered from the adjacency bitmap
+  /// (QueryResult::cache_hit), and those answered through a sweep; they
+  /// sum to the served distance queries. serve.cache.hit_ratio is the
+  /// bitmap's share. The names are older than the bitmap (they counted
+  /// distance-row cache lookups) and their readers keep them.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
   std::uint64_t route_rows_filled = 0;
   std::uint64_t shed_admission = 0;
   std::uint64_t shed_deadline = 0;
@@ -238,8 +243,8 @@ std::vector<std::uint32_t> edf_select(std::span<const std::uint64_t> deadlines,
 class QueryEngine {
  public:
   /// Serves from `store` (borrowed; must outlive the engine). Every batch
-  /// checks the store's epoch; changes invalidate the distance-row caches
-  /// and lazy route tables exactly once per epoch.
+  /// checks the store's epoch; a change is adopted, and the lazy route
+  /// tables dropped, exactly once per epoch.
   explicit QueryEngine(SnapshotStore& store, ServeOptions options = {});
 
   /// Static-substrate convenience: copies `h` into an internal single-
@@ -254,10 +259,10 @@ class QueryEngine {
 
   // --- synchronous batched path ------------------------------------------
   /// Serves every query (no admission control, no deadlines): coalesces by
-  /// BFS endpoint, sweeps cache misses through 64-wide MS-BFS batches,
-  /// fills route rows lazily, and returns results in input order. Safe to
-  /// call from any thread (sync callers serialize on a dedicated context;
-  /// dispatchers keep running). Sheds the whole batch with
+  /// BFS endpoint, answers d ≤ 3 from the adjacency bitmap, sweeps the
+  /// open pairs through 64-wide MS-BFS batches, fills route rows lazily,
+  /// and returns results in input order. Safe to call from any number of
+  /// threads at once, beside the dispatchers. Sheds the whole batch with
   /// kShedDegraded when the pinned certificate is below the serving
   /// policy (see ServeOptions::shed_at).
   std::vector<QueryResult> serve_batch(std::span<const Query> queries);
@@ -282,24 +287,19 @@ class QueryEngine {
   std::future<QueryResult> submit(const Query& query);
 
   ServeStats stats() const;
-  const SnapshotStore& snapshots() const { return *store_; }
   /// Epoch of the currently adopted snapshot (a batch may adopt a newer
   /// one the moment it executes).
   std::uint64_t serving_epoch() const {
     return serving_epoch_.load(std::memory_order_relaxed);
   }
   std::size_t num_vertices() const { return n_; }
-  /// Total distance rows cached across every execution context. Served by
-  /// a lock-free mirror (safe to poll while serving; never a barrier);
-  /// exact whenever no batch is mid-execution.
-  std::size_t cached_rows() const;
-  std::size_t num_dispatchers() const { return contexts_.size(); }
 
-  /// Fault injection for the chaos-soak harness: skip the distance-row
-  /// cache drop on epoch adoption, so rows materialized under a pre-
-  /// repair epoch keep answering post-repair queries. The soak's
-  /// query-certified invariant must catch and ddmin-minimize this.
-  void inject_stale_cache_bug() { stale_cache_bug_ = true; }
+  /// Fault injection for the chaos-soak harness: pins the snapshot the
+  /// engine serves now, and every later distance query (bitmap and sweep)
+  /// is answered from it while its result carries the adopted epoch — a
+  /// pre-repair answer to a post-repair query. The soak's query-certified
+  /// invariant must catch and ddmin-minimize this.
+  void inject_stale_cache_bug();
 
  private:
   struct Pending {
@@ -318,49 +318,29 @@ class QueryEngine {
     double start_obs_us = 0.0;     // obs clock at sweep start
   };
 
-  /// Per-executor serving state: the 2Q distance-row cache plus the
-  /// exported-tally watermarks for it. Each dispatcher owns one and the
-  /// synchronous path owns one; only the owner touches it (under the
-  /// shared substrate lock), except epoch adoption, which clears every
-  /// cache under the exclusive lock. Owner-only watermarks are what make
-  /// the cache-metric delta export race-free: the old engine re-read
-  /// shared counters read-modify-write, which double-counts the moment
-  /// two executors export concurrently.
-  struct ServeContext {
-    TwoQCache<Vertex, std::vector<Dist>> rows;
-    std::uint64_t hits_exported = 0;
-    std::uint64_t misses_exported = 0;
-    std::uint64_t evictions_exported = 0;
-    /// rows.size() at the last delta export, for the n_cached_rows_ mirror.
-    std::size_t rows_exported = 0;
-    explicit ServeContext(std::size_t capacity) : rows(capacity) {}
-  };
-
   /// Dispatcher lifecycle; see "Shutdown" in the file header.
   enum class State : std::uint8_t { kIdle, kRunning, kDraining };
 
-  /// Shared constructor tail: epoch bookkeeping and dispatcher contexts.
+  /// Shared constructor tail: epoch bookkeeping.
   void init_engine();
 
   /// Drains up to one batch window at a time until stop() has set
   /// kDraining and the queue is empty. `index` is 0-based; results carry
   /// index + 1.
   void dispatcher_loop(std::size_t index);
-  /// Deadline-sheds then executes one drained batch on dispatcher
-  /// `index`'s context and resolves its futures.
+  /// Deadline-sheds then executes one drained batch on dispatcher `index`
+  /// and resolves its futures.
   void process_batch(std::size_t index, std::vector<Pending>& drained);
   /// Moves up to one batch window from queue_ into `out`: all of it when
   /// it fits, otherwise the window's most deadline-pressed entries
   /// (edf_select). Caller holds queue_mutex_.
   void drain_window(std::vector<Pending>& out);
 
-  /// The coalesced serving core: runs under the shared substrate lock with
-  /// the caller-owned `ctx` caches; counts everything except query intake,
-  /// which submit()/serve_batch() tally. Fills each result's
-  /// execute/row_fill breakdown and, when `meta` is non-null, the batch's
-  /// causal coordinates.
+  /// The coalesced serving core: runs under the shared substrate lock;
+  /// counts everything except query intake, which submit()/serve_batch()
+  /// tally. Fills each result's execute/row_fill breakdown and, when
+  /// `meta` is non-null, the batch's causal coordinates.
   std::vector<QueryResult> execute(std::span<const Query> queries,
-                                   ServeContext& ctx,
                                    std::uint32_t dispatcher_id,
                                    BatchMeta* meta = nullptr);
   /// Epoch-currency check: two atomic loads on the fast path; on a change,
@@ -369,13 +349,11 @@ class QueryEngine {
   /// reacquire `lock`.
   void maybe_adopt(std::shared_lock<std::shared_mutex>& lock);
   /// Pins the newer snapshot (if still newer — the adoption race loser
-  /// returns without touching anything) and drops every context's cached
-  /// rows + rebinds the route tables, once. Caller holds the exclusive
-  /// substrate lock.
+  /// returns without touching anything) and rebinds the route tables,
+  /// once. Caller holds the exclusive substrate lock.
   void adopt_locked();
   /// True when the pinned certificate is below the serving policy.
   bool should_shed_degraded() const;
-  std::size_t cached_rows_locked() const;
 
   std::unique_ptr<SnapshotStore> owned_store_;  ///< Graph-ctor compat only
   SnapshotStore* store_;
@@ -384,22 +362,15 @@ class QueryEngine {
   std::size_t n_;  ///< vertex count (fixed across epochs)
 
   // The serving substrate, guarded by substrate_mutex_: executors hold it
-  // shared (batches on distinct contexts proceed concurrently); epoch
-  // adoption holds it exclusive. tables_ additionally serializes its
-  // fill/walk phase on route_mutex_ (LazyRoutingTables is not internally
+  // shared (batches proceed concurrently); epoch adoption and the stale
+  // pin hold it exclusive. tables_ additionally serializes its fill/walk
+  // phase on route_mutex_ (LazyRoutingTables is not internally
   // synchronized), taken while already holding the shared lock.
   mutable std::shared_mutex substrate_mutex_;
-  SnapshotRef serving_;  ///< snapshot the caches are keyed to
+  SnapshotRef serving_;  ///< the adopted snapshot the route rows are keyed to
   LazyRoutingTables tables_;
   std::mutex route_mutex_;
-  std::atomic<bool> stale_cache_bug_{false};
-
-  // One context per dispatcher (fixed at construction) and the
-  // synchronous path's. sync_mutex_ serializes concurrent serve_batch()
-  // callers.
-  std::vector<ServeContext> contexts_;
-  ServeContext sync_context_;
-  std::mutex sync_mutex_;
+  SnapshotRef stale_;  ///< inject_stale_cache_bug()'s pin; null = none
 
   // The submit queue. queue_mutex_ guards queue_, state_ and the cv
   // predicate; lifecycle_mutex_ serializes start()/stop() and guards
@@ -411,17 +382,12 @@ class QueryEngine {
   std::mutex lifecycle_mutex_;
   std::vector<std::thread> threads_;
 
-  // Stats mirrors (relaxed atomics so stats() never takes a lock). Cache
-  // tallies accumulate owner-computed deltas from each context.
+  // Stats mirrors (relaxed atomics so stats() never takes a lock).
   std::atomic<std::uint64_t> n_queries_{0}, n_distance_{0}, n_route_{0},
       n_served_{0}, n_batches_{0}, n_sources_{0}, n_hits_{0}, n_misses_{0},
-      n_evictions_{0}, n_rows_filled_{0}, n_shed_admission_{0},
-      n_shed_deadline_{0}, n_shed_degraded_{0}, n_shed_shutdown_{0},
-      n_unreachable_{0}, n_epochs_adopted_{0}, serving_epoch_{0};
-  /// Lock-free cached_rows() mirror: owners fold their context's row-count
-  /// delta in at batch end; adoption re-syncs it under the exclusive lock.
-  /// Signed because an executor can net-shrink its cache (evictions).
-  std::atomic<std::int64_t> n_cached_rows_{0};
+      n_rows_filled_{0}, n_shed_admission_{0}, n_shed_deadline_{0},
+      n_shed_degraded_{0}, n_shed_shutdown_{0}, n_unreachable_{0},
+      n_epochs_adopted_{0}, serving_epoch_{0};
 };
 
 }  // namespace dcs::serve

@@ -47,6 +47,7 @@ std::uint64_t SnapshotStore::publish(Graph graph, Graph spanner,
   snap.epoch = epoch_.load(std::memory_order_relaxed) + 1;
   snap.graph = std::move(graph);
   snap.spanner = std::move(spanner);
+  snap.adjacency = AdjacencyBitmap::build_if_worthwhile(snap.spanner);
   snap.certificate = cert;
   const std::uint64_t epoch = snap.epoch;
   SnapshotRef next = wrap(std::move(snap));

@@ -19,12 +19,13 @@
 //    drains (shared ownership does the grace period), and the retirement
 //    is tallied so leaks are visible in `serve.epoch.*`.
 //
-// The epoch number is the serving plane's cache-coherency token: the
-// engine keys its distance-row cache and lazy next-hop tables by the epoch
-// they were materialized under and drops both on the first batch that pins
-// a newer one. A row computed against epoch e must never answer a query
-// pinned to epoch e' > e — that is the stale-read class of bug the
-// chaos-soak harness's query-certified invariant exists to catch.
+// The epoch number is the serving plane's coherency token: the engine
+// reads distances from the snapshot it adopted (its adjacency bitmap, then
+// an MS-BFS sweep of its spanner for what the bitmap leaves open), keys its
+// lazy next-hop tables by that epoch, and drops them on the first batch
+// that pins a newer one. An answer computed against epoch e must never
+// answer a query pinned to epoch e' > e — that is the stale-read class of
+// bug the chaos-soak harness's query-certified invariant exists to catch.
 //
 // Obs: `serve.epoch.published` / `serve.epoch.retired` counters,
 // `serve.epoch.current` / `serve.epoch.live` gauges.
@@ -34,6 +35,7 @@
 #include <memory>
 #include <mutex>
 
+#include "graph/adjacency_bitmap.hpp"
 #include "graph/graph.hpp"
 #include "resilience/health_monitor.hpp"
 #include "resilience/supervisor.hpp"
@@ -64,11 +66,16 @@ struct ServeSnapshot {
   std::uint64_t epoch = 0;
   Graph graph;    ///< network view the certificate is relative to (G∖F)
   Graph spanner;  ///< serving substrate (H∖F)
+  /// The spanner's adjacency bitmap (AdjacencyBitmap::build_if_worthwhile),
+  /// from which the engine answers every d ≤ 3 distance; empty on sparse
+  /// or large substrates, whose distances all come from MS-BFS sweeps.
+  AdjacencyBitmap adjacency;
   SpannerCertificate certificate;
 };
 
 /// Shared pin on a snapshot: holding one keeps the whole view (both
-/// graphs, certificate) alive; dropping the last one retires it.
+/// graphs, the bitmap, the certificate) alive; dropping the last one
+/// retires it.
 using SnapshotRef = std::shared_ptr<const ServeSnapshot>;
 
 class SnapshotStore {

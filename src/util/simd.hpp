@@ -81,8 +81,8 @@ void and_popcount_at_least_run(const std::uint64_t* a,
                                std::uint64_t* out);
 
 /// True iff a[i] & b[i] != 0 for some i < words: do the two bit rows
-/// meet? The d ≤ 3 test B₂(u) ∩ N(v) ≠ ∅ (core/support's
-/// ShortDistanceOracle).
+/// meet? The d ≤ 3 test B₂(u) ∩ N(v) ≠ ∅
+/// (AdjacencyBitmap::distance_within_3).
 bool rows_meet(const std::uint64_t* a, const std::uint64_t* b,
                std::size_t words);
 

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <utility>
 
 #include "core/regular_spanner.hpp"
 #include "core/verifier.hpp"
@@ -34,29 +34,6 @@ Faulted make_faulted(std::size_t n, std::size_t delta, double edge_fraction,
   FaultState state(n);
   state.apply(schedule.events);
   return {g, built.spanner.h, std::move(state), schedule};
-}
-
-// ------------------------------------------------------------ damage_frontier
-
-TEST(DamageFrontier, VertexCrashMarksItsNeighborhood) {
-  const Graph g = cycle_graph(8);
-  const std::vector<FaultEvent> events = {FaultEvent::vertex_down(0, 3)};
-  const auto frontier = damage_frontier(g, events);
-  EXPECT_TRUE(std::ranges::count(frontier, Vertex{2}) == 1);
-  EXPECT_TRUE(std::ranges::count(frontier, Vertex{4}) == 1);
-  EXPECT_EQ(std::ranges::count(frontier, Vertex{6}), 0);
-}
-
-TEST(DamageFrontier, EdgeCrashMarksEndpointsAndTheirNeighbors) {
-  const Graph g = cycle_graph(8);
-  const std::vector<FaultEvent> events = {
-      FaultEvent::edge_down(0, Edge{3, 4})};
-  const auto frontier = damage_frontier(g, events);
-  for (Vertex v : {2, 3, 4, 5}) {
-    EXPECT_EQ(std::ranges::count(frontier, static_cast<Vertex>(v)), 1)
-        << "vertex " << v;
-  }
-  EXPECT_EQ(std::ranges::count(frontier, Vertex{0}), 0);
 }
 
 // ------------------------------------------------------------- repair_spanner

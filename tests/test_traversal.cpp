@@ -165,14 +165,19 @@ TEST(AdjacencyBitmap, MatchesScalarSupportOnCorpus) {
         }
       }
     }
-    // Row u of the two-ball bitmap is the BFS ball of radius 2 around u.
+    // Row u of the two-ball bitmap is the BFS ball of radius 2 around u,
+    // and ball_row(g, u) is that row on its own.
     const AdjacencyBitmap ball = bm.two_ball(g);
+    std::vector<std::uint64_t> row(bm.words_per_row());
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
       const auto dist = bfs_distances_bounded(g, u, 2);
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
         ASSERT_EQ(ball.test(u, v), dist[v] != kUnreachable)
             << "n=" << g.num_vertices() << " u=" << u << " v=" << v;
       }
+      bm.ball_row(g, u, row);
+      ASSERT_TRUE(std::ranges::equal(row, ball.row(u)))
+          << "n=" << g.num_vertices() << " u=" << u;
     }
   }
   EXPECT_TRUE(std::ranges::any_of(corpus(), [](const Graph& g) {

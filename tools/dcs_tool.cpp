@@ -23,8 +23,9 @@
 //       snapshot-backed live oracle, checked by the query-certified
 //       invariant), --inject-repair-bug (harness self-test: the
 //       supervisor silently drops a repaired edge, the soak must catch
-//       it), --inject-stale-cache-bug (harness self-test: the engine's
-//       distance rows survive epoch swaps; needs --qps),
+//       it), --inject-stale-cache-bug (harness self-test: the engine
+//       keeps answering distances from the epoch it served when the soak
+//       began; needs --qps),
 //       --persist-dir=DIR (attach the durability plane: checkpoint +
 //       write-ahead log into DIR), --checkpoint-interval=N (checkpoint
 //       cadence in waves, default 16), --crash-at-wave=N (simulate a
@@ -410,8 +411,10 @@ int cmd_tables(const std::vector<std::string>& args) {
 // Smoke-tests the query-serving engine on a stored (spanner) graph: serves
 // a skewed distance/route workload through the batched path, spot-checks a
 // sample of answers against scalar BFS ground truth, and prints the
-// engine's coalescing/cache tallies. Exit 0 when every spot-check matches,
-// 1 on any mismatch, 2 on usage errors (uniform with the other commands).
+// engine's tallies: sources swept, and distances answered from the
+// adjacency bitmap versus through a sweep. Exit 0 when every spot-check
+// matches, 1 on any mismatch, 2 on usage errors (uniform with the other
+// commands).
 int cmd_serve_bench(const std::vector<std::string>& args) {
   if (args.empty()) usage("serve-bench needs <spanner.graph>");
   const Graph h = read_graph_file(args[0]);
@@ -467,9 +470,8 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
   t.add("elapsed ms", elapsed_ms);
   t.add("queries/s", static_cast<double>(s.queries) / (elapsed_ms / 1e3));
   t.add("MS-BFS sources swept", s.coalesced_sources);
-  t.add("cache hits / misses / evictions",
-        std::to_string(s.cache_hits) + " / " + std::to_string(s.cache_misses) +
-            " / " + std::to_string(s.cache_evictions));
+  t.add("distances bitmap / swept",
+        std::to_string(s.cache_hits) + " / " + std::to_string(s.cache_misses));
   t.add("route rows filled", s.route_rows_filled);
   t.add("unreachable answers", s.unreachable);
   t.print(std::cout);

@@ -28,7 +28,7 @@
 //
 // plus the EDF regression gate (section 4, documented at its definition)
 // and a tracing-overhead gate: the section-1 batched workload served with
-// request-trace exemplars off and on (min of 3 fresh-engine runs each);
+// request-trace exemplars off and on (min of 7 fresh-engine runs each);
 // the traced path must stay within 3% of the untraced one, and the
 // tracer's tail exemplars are exported as the "request_trace" key of
 // BENCH_serve.json.

@@ -23,8 +23,10 @@
 //     the same invariant.
 //
 //  4. Live-oracle self-test: with the engine's deliberate stale-cache bug
-//     enabled (distance rows survive epoch adoption) the query-certified
-//     invariant must catch the stale read and minimize it the same way.
+//     enabled (distances keep coming from the snapshot pinned when the
+//     soak began, while results carry the adopted epoch) the
+//     query-certified invariant must catch the stale read and minimize it
+//     the same way.
 
 #include "bench_common.hpp"
 
@@ -183,9 +185,10 @@ int main() {
     }
   }
 
-  // Live-oracle self-test: a distance-row cache that survives epoch
-  // adoption must be caught by the query-certified invariant and shrink
-  // to a tiny reproducer, exactly like the repair bug above.
+  // Live-oracle self-test: distances answered from a pre-repair snapshot
+  // after the engine adopted a newer epoch must be caught by the
+  // query-certified invariant and shrink to a tiny reproducer, exactly
+  // like the repair bug above.
   std::cout << "\n-- injected stale-cache bug: catch and minimize --\n";
   SoakOptions stale = o;
   stale.waves = 120;

@@ -30,9 +30,8 @@
 // Both strategies guarantee the repaired spanner is a 3-distance spanner
 // of G∖F deterministically (every examined edge ends covered; unexamined
 // edges kept their pre-fault replacement by the same locality argument).
-// When
-// the damage exceeds `rebuild_threshold`, locality stops paying and the
-// engine falls back to a full rebuild on the surviving graph.
+// When the damage exceeds `rebuild_threshold`, locality stops paying and
+// the engine falls back to a full rebuild on the surviving graph.
 
 #include <span>
 

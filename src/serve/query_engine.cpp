@@ -274,7 +274,6 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
     meta->batch_id = options_.trace.exemplars
                          ? obs::RequestTracer::instance().next_batch_id()
                          : 0;
-    meta->epoch = epoch;
     meta->start_obs_us = start_obs_us;
   }
   std::vector<QueryResult> results(queries.size());

@@ -314,7 +314,6 @@ class QueryEngine {
   /// Causal coordinates of one execute() call, for exemplar assembly.
   struct BatchMeta {
     std::uint64_t batch_id = 0;    // 0 when tracing is off
-    std::uint64_t epoch = 0;
     double start_obs_us = 0.0;     // obs clock at sweep start
   };
 

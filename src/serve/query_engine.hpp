@@ -37,12 +37,12 @@
 //    SpannerSupervisor) publishes a new epoch, the first batch to notice
 //    *adopts* it — dropping every lazy route row, because those were
 //    filled against the previous topology — and in-flight batches finish
-//    on the epoch they pinned. Every result
-//    carries the epoch it was served under. When the published
-//    certificate is too weak to stand behind (ladder at/past
-//    ServeOptions::shed_at, guarantees lost, or stale when freshness is
-//    required), the batch is shed with the structured kShedDegraded
-//    outcome instead of stalling or serving uncertified answers.
+//    on the epoch they pinned. Every result carries the epoch it was
+//    served under. When the published certificate is too weak to stand
+//    behind (ladder at/past ServeOptions::shed_at, guarantees lost, or
+//    stale when freshness is required), the batch is shed with the
+//    structured kShedDegraded outcome instead of stalling or serving
+//    uncertified answers.
 //
 // Thread model — one queue, N dispatchers:
 //

@@ -20,7 +20,6 @@
 
 #include "bench_common.hpp"
 #include "core/expander_spanner.hpp"
-#include "graph/renumber.hpp"
 #include "util/simd.hpp"
 #include "core/matching_decomposition.hpp"
 #include "core/regular_spanner.hpp"
@@ -271,35 +270,6 @@ void kernel_msbfs(bench::PerfRecord& rec) {
                 ms_ms);
 }
 
-/// Direction-optimizing single-source BFS vs the scalar reference.
-void kernel_hybrid_bfs(bench::PerfRecord& rec) {
-  const std::size_t n = 2048;
-  const Graph& g = shared_graph(n, 16);
-  constexpr std::size_t kSources = 128;
-
-  std::uint64_t scalar_sum = 0;
-  const double scalar_ms = best_of(3, scalar_sum, [&] {
-    std::uint64_t sum = 0;
-    for (std::size_t s = 0; s < kSources; ++s) {
-      for (Dist d : bfs_distances(g, static_cast<Vertex>(s))) sum += d;
-    }
-    return sum;
-  });
-
-  std::uint64_t hybrid_sum = 0;
-  const double hybrid_ms = best_of(3, hybrid_sum, [&] {
-    std::uint64_t sum = 0;
-    for (std::size_t s = 0; s < kSources; ++s) {
-      const SsBfsView view = bfs_hybrid(g, static_cast<Vertex>(s));
-      for (Vertex v = 0; v < n; ++v) sum += view.at(v);
-    }
-    return sum;
-  });
-  DCS_CHECK(scalar_sum == hybrid_sum, "hybrid BFS checksum mismatch");
-  report_kernel(rec, "dir-opt BFS (n=2048)", "hybrid_bfs", scalar_ms,
-                hybrid_ms);
-}
-
 /// Support counting in the paper's dense regime (Δ ≈ n^{2/3}): sorted-merge
 /// reference vs the bitmap oracle.
 void kernel_bitmap_support(bench::PerfRecord& rec) {
@@ -354,46 +324,6 @@ void check_tier_invariance(const char* gauge, std::uint64_t expected,
       .set(static_cast<double>(expected));
 }
 
-/// Bottom-up BFS step at n=4096: scalar reference BFS on the original
-/// labeling vs the full hardware story — BFS cache-order renumbering plus
-/// the direction-optimizing engine's SIMD bottom-up probes and software
-/// prefetch. The sum-of-distances checksum is permutation-invariant, so
-/// it certifies the relabeled run computes the same metric space.
-void kernel_bottomup_4096(bench::PerfRecord& rec) {
-  const std::size_t n = 4096;
-  const Graph& g = shared_graph(n, 64);
-  constexpr std::size_t kSources = 48;
-
-  std::uint64_t scalar_sum = 0;
-  const double scalar_ms = best_of(3, scalar_sum, [&] {
-    std::uint64_t sum = 0;
-    for (std::size_t s = 0; s < kSources; ++s) {
-      const auto src = static_cast<Vertex>((s * 131) % n);
-      for (Dist d : bfs_distances(g, src)) sum += d;
-    }
-    return sum;
-  });
-
-  // Renumbering is a one-time index build (measured by BM_Renumber), so it
-  // stays outside the timed region like any other preprocessing.
-  const RenumberedGraph rg = g.renumber(VertexOrder::kBfs);
-  const auto fast_pass = [&] {
-    std::uint64_t sum = 0;
-    for (std::size_t s = 0; s < kSources; ++s) {
-      const auto src = static_cast<Vertex>((s * 131) % n);
-      const SsBfsView view = bfs_hybrid(rg.graph, rg.map.internal(src));
-      for (Vertex v = 0; v < n; ++v) sum += view.at(v);
-    }
-    return sum;
-  };
-  std::uint64_t fast_sum = 0;
-  const double fast_ms = best_of(3, fast_sum, fast_pass);
-  DCS_CHECK(scalar_sum == fast_sum, "bottom-up 4096 checksum mismatch");
-  check_tier_invariance("bottomup4096", fast_sum, fast_pass);
-  report_kernel(rec, "bottom-up BFS (n=4096)", "bottomup4096", scalar_ms,
-                fast_ms);
-}
-
 /// Support counting at n=4096 in the paper's dense regime: sorted-merge
 /// reference vs the bitmap oracle's AND+popcount kernel.
 void kernel_bitmap_support_4096(bench::PerfRecord& rec) {
@@ -443,16 +373,8 @@ void run_kernel_comparisons() {
     kernel_msbfs(rec);
   }
   {
-    ScopedTimer t(rec.phase("hybrid_bfs"));
-    kernel_hybrid_bfs(rec);
-  }
-  {
     ScopedTimer t(rec.phase("bitmap_support"));
     kernel_bitmap_support(rec);
-  }
-  {
-    ScopedTimer t(rec.phase("bottomup4096"));
-    kernel_bottomup_4096(rec);
   }
   {
     ScopedTimer t(rec.phase("bitmap_support4096"));
@@ -478,19 +400,6 @@ void BM_MultiSourceBfs(benchmark::State& state) {
                           static_cast<std::int64_t>(kMsBfsBatch));
 }
 BENCHMARK(BM_MultiSourceBfs)->Arg(1024)->Arg(4096);
-
-void BM_HybridBfs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = shared_graph(n, 16);
-  Vertex source = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bfs_hybrid(g, source));
-    source = static_cast<Vertex>((source + 1) % n);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_HybridBfs)->Arg(1024)->Arg(4096);
 
 void BM_BitmapSupportTest(benchmark::State& state) {
   const Graph& g = shared_graph(512, 64);
@@ -535,37 +444,6 @@ void BM_Step3RowsMeet(benchmark::State& state) {
                                                     pairs.size()));
 }
 BENCHMARK(BM_Step3RowsMeet)->Arg(0)->Arg(1);
-
-void BM_Renumber(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = shared_graph(n, 16);
-  const auto order = static_cast<VertexOrder>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.renumber(order));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(vertex_order_name(order));
-}
-BENCHMARK(BM_Renumber)
-    ->Args({4096, static_cast<int>(VertexOrder::kDegreeDescending)})
-    ->Args({4096, static_cast<int>(VertexOrder::kBfs)});
-
-void BM_BottomUpPrefetch(benchmark::State& state) {
-  // Direction-optimizing BFS on the BFS-renumbered graph: the bottom-up
-  // steps (prefetched adjacency scans + SIMD frontier probes) dominate on
-  // this degree-64 graph, so this gauges the prefetch + renumber combo.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const RenumberedGraph rg = shared_graph(n, 64).renumber(VertexOrder::kBfs);
-  Vertex source = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bfs_hybrid(rg.graph, source));
-    source = static_cast<Vertex>((source + 1) % n);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rg.graph.num_edges()));
-}
-BENCHMARK(BM_BottomUpPrefetch)->Arg(1024)->Arg(4096);
 
 void BM_HasEdge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -28,10 +28,10 @@
 //
 // plus the EDF regression gate (section 4, documented at its definition)
 // and a tracing-overhead gate: the section-1 batched workload served with
-// request-trace exemplars off and on (min of 7 fresh-engine runs each);
-// the traced path must stay within 3% of the untraced one, and the
-// tracer's tail exemplars are exported as the "request_trace" key of
-// BENCH_serve.json.
+// request-trace exemplars off and on, as 121 interleaved pairs of
+// fresh-engine runs; the median per-pair overhead must stay within 3%,
+// and the tracer's tail exemplars are exported as the "request_trace" key
+// of BENCH_serve.json.
 //
 // A 1024-vertex spanner is dense enough for the adjacency bitmap
 // (AdjacencyBitmap::worthwhile); the EDF gate's 30,000-vertex sparse
@@ -413,16 +413,17 @@ bool deadline_burst_demo(const Graph& h, std::size_t flood_windows,
 }
 
 /// Section 5: the tracing-overhead gate. The same batched workload served
-/// with request tracing off and with exemplar sampling on, each timed as
-/// the min of `kRuns` fresh-engine runs (min-of-N discards scheduler
-/// noise; a fresh engine per run keeps the route rows identical). The
-/// traced/untraced runs are *interleaved* rather than run as two blocks:
-/// machine-load drift then hits both arms equally instead of biasing
-/// whichever arm ran during the noisy window.
-/// Returns false when the traced path costs more than kOverheadCeiling.
+/// with request tracing off and with exemplar sampling on, as `kPairs`
+/// pairs of fresh-engine runs (a fresh engine per run keeps the route rows
+/// identical). The two runs of a pair are back to back, and which arm goes
+/// first alternates, so machine-load drift hits both arms of a pair alike
+/// and neither arm always runs second. The gate reads the median of the
+/// per-pair overheads traced/untraced − 1, which a few noisy pairs cannot
+/// move; their interquartile range is exported beside it.
+/// Returns false when the median overhead exceeds kOverheadCeiling.
 bool tracing_overhead_gate(bench::PerfRecord& rec, const Graph& h,
                            std::size_t num_queries, std::size_t window) {
-  constexpr int kRuns = 7;
+  constexpr int kPairs = 121;
   constexpr double kOverheadCeiling = 0.03;
   const auto queries = skewed_queries(h, num_queries, 16, 314159);
 
@@ -442,25 +443,35 @@ bool tracing_overhead_gate(bench::PerfRecord& rec, const Graph& h,
   // timed runs — this gates the worst case, not an idle tracer.
   obs::RequestTracer::instance().configure(/*threshold_us=*/100.0);
   run_once(false);  // warm the substrate (page-in, frequency ramp)
-  double base_ms = run_once(false);
-  double traced_ms = run_once(true);
-  for (int r = 1; r < kRuns; ++r) {
-    base_ms = std::min(base_ms, run_once(false));
-    traced_ms = std::min(traced_ms, run_once(true));
+  std::vector<double> base_ms, traced_ms, overheads;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const bool traced_first = pair % 2 == 1;
+    const double first = run_once(traced_first);
+    const double second = run_once(!traced_first);
+    base_ms.push_back(traced_first ? second : first);
+    traced_ms.push_back(traced_first ? first : second);
+    overheads.push_back(traced_ms.back() / base_ms.back() - 1.0);
   }
-  const double overhead = traced_ms / base_ms - 1.0;
+  const std::vector<double> quartiles{0.25, 0.5, 0.75};
+  const auto q = exact_percentiles(overheads, quartiles);
+  const double overhead = q[1];
+  const double iqr = q[2] - q[0];
+  const double base_median = exact_percentile(base_ms, 0.5);
+  const double traced_median = exact_percentile(traced_ms, 0.5);
 
   auto& reg = obs::MetricsRegistry::instance();
-  reg.gauge("bench.serve.trace_base_ms").set(base_ms);
-  reg.gauge("bench.serve.trace_traced_ms").set(traced_ms);
+  reg.gauge("bench.serve.trace_base_ms").set(base_median);
+  reg.gauge("bench.serve.trace_traced_ms").set(traced_median);
   reg.gauge("bench.serve.trace_overhead").set(overhead);
+  reg.gauge("bench.serve.trace_overhead_iqr").set(iqr);
   rec.add_json_section("request_trace",
                        obs::RequestTracer::instance().to_json());
 
-  std::printf("\ntracing overhead (%zu queries, min of %d runs): "
-              "untraced %.2f ms, exemplars on %.2f ms (%+.2f%%, "
-              "%zu tail exemplars kept)\n",
-              queries.size(), kRuns, base_ms, traced_ms, overhead * 1e2,
+  std::printf("\ntracing overhead (%zu queries, %d paired runs): median "
+              "untraced %.2f ms, exemplars on %.2f ms; median overhead "
+              "%+.2f%% (IQR %.2f%%, %zu tail exemplars kept)\n",
+              queries.size(), kPairs, base_median, traced_median,
+              overhead * 1e2, iqr * 1e2,
               obs::RequestTracer::instance().size());
 
   if (overhead > kOverheadCeiling) {

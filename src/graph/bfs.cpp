@@ -1,11 +1,8 @@
 #include "graph/bfs.hpp"
 
 #include <algorithm>
-#include <functional>
 
-#include "graph/traversal.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dcs {
 
@@ -103,25 +100,6 @@ std::vector<Vertex> bfs_shortest_path(const Graph& g, Vertex source,
     cur = chosen;
   }
   return path;
-}
-
-void batch_bfs(
-    const Graph& g, std::span<const Vertex> sources,
-    const std::function<void(Vertex, const std::vector<Dist>&)>& fn) {
-  parallel_chunks(0, sources.size(),
-                  [&](std::size_t lo, std::size_t hi, std::size_t) {
-                    // Direction-optimizing BFS out of the worker's arena;
-                    // one reusable export buffer per chunk keeps the
-                    // callback's vector-shaped contract without a fresh
-                    // allocation per source.
-                    auto& scratch = traversal_scratch();
-                    std::vector<Dist> dist;
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      bfs_hybrid(g, sources[i], kUnreachable, &scratch)
-                          .export_distances(dist);
-                      fn(sources[i], dist);
-                    }
-                  });
 }
 
 Dist eccentricity(const Graph& g, Vertex source) {

@@ -1,13 +1,12 @@
 #pragma once
 
 // Breadth-first search primitives: single-source distances, depth-bounded
-// search, shortest-path extraction (with optional randomized tie-breaking so
-// that repeated path queries spread congestion), and a parallel batch driver.
+// search and shortest-path extraction (with optional randomized tie-breaking
+// so that repeated path queries spread congestion). These are the scalar
+// references; graph/traversal.hpp batches many sources into one sweep.
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -36,11 +35,6 @@ Dist bfs_distance(const Graph& g, Vertex source, Vertex target);
 /// different shortest paths (used to spread routing congestion).
 std::vector<Vertex> bfs_shortest_path(const Graph& g, Vertex source,
                                       Vertex target, Rng* rng = nullptr);
-
-/// Runs `fn(source, distances)` for every source in `sources`, in parallel.
-/// `fn` must be safe to call concurrently from different threads.
-void batch_bfs(const Graph& g, std::span<const Vertex> sources,
-               const std::function<void(Vertex, const std::vector<Dist>&)>& fn);
 
 /// Eccentricity of `source` (max finite distance); kUnreachable if the graph
 /// is disconnected from source.

@@ -16,9 +16,6 @@
 
 namespace dcs {
 
-enum class VertexOrder : std::uint8_t;
-struct RenumberedGraph;
-
 class Graph {
  public:
   /// Empty graph on n vertices.
@@ -53,11 +50,6 @@ class Graph {
   /// midpoints — it sits on the repair screening hot path where the
   /// adjacency lists of random vertices are cold.
   bool has_edge(Vertex u, Vertex v) const;
-
-  /// Rebuild this graph under a cache-friendly vertex ordering (see
-  /// graph/renumber.hpp). Returns the relabeled graph together with the
-  /// permutation so callers can translate between ID spaces.
-  RenumberedGraph renumber(VertexOrder order) const;
 
   /// Canonical (u < v) edge list in lexicographic order.
   std::vector<Edge> edges() const;

@@ -2,41 +2,21 @@
 
 #include <algorithm>
 #include <bit>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dcs {
 
 namespace {
 
-// Beamer's direction-optimization thresholds: go bottom-up when the
-// frontier's out-edges exceed 1/kBottomUpAlpha of the edges still
-// incident to unvisited vertices; return top-down when the frontier
-// shrinks below n/kTopDownBeta vertices.
-constexpr std::size_t kBottomUpAlpha = 14;
-constexpr std::size_t kTopDownBeta = 24;
-// Below this the bitmap machinery costs more than it saves.
-constexpr std::size_t kMinBottomUpVertices = 256;
-
-// Adjacency rows prefetched ahead of the bottom-up candidate scan: deep
-// enough to cover a DRAM miss at the scan's consumption rate, shallow
-// enough not to thrash L1.
-constexpr std::size_t kBottomUpPrefetchAhead = 4;
-
 // MS-BFS merge: neighbors gathered per simd::ms_propagate call, and the
 // degree below which the call overhead beats the gather win.
 constexpr std::size_t kMsPropagateChunk = 64;
 constexpr std::size_t kMsPropagateMinDegree = 16;
-
-obs::Counter& bottom_up_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("traversal.bottom_up_switches");
-  return c;
-}
 
 obs::Counter& arena_reuse_counter() {
   static obs::Counter& c =
@@ -63,33 +43,6 @@ struct TraversalScratch::Impl {
   // on the owning thread (NUMA placement), and the epoch stamps make the
   // "contents unspecified after growth" contract safe.
 
-  // --- single-source arena -------------------------------------------------
-  struct SsState {
-    std::size_t n = 0;
-    std::uint32_t epoch = 0;
-    ArenaBuffer<Dist> dist;
-    ArenaBuffer<std::uint32_t> stamp;  // dist[v] valid iff stamp[v] == epoch
-    std::vector<Vertex> frontier, next;
-    ArenaBuffer<std::uint64_t> visited_bits, frontier_bits;
-
-    std::uint32_t begin(std::size_t want_n) {
-      if (want_n != n) {
-        n = want_n;
-        dist.resize(n);
-        stamp.assign(n, 0);
-        epoch = 0;
-      } else {
-        arena_reuse_counter().inc();
-      }
-      if (++epoch == 0) {  // stamp wrap: old stamps become ambiguous
-        stamp.fill(0u);
-        epoch = 1;
-      }
-      return epoch;
-    }
-  } ss;
-
-  // --- multi-source arena --------------------------------------------------
   struct MsState {
     std::size_t n = 0;
     std::uint32_t epoch = 0;
@@ -128,134 +81,6 @@ TraversalScratch::~TraversalScratch() = default;
 TraversalScratch& traversal_scratch() {
   thread_local TraversalScratch scratch;
   return scratch;
-}
-
-void warm_traversal_scratch(std::size_t n) {
-  ThreadPool::shared().warm([n](std::size_t) {
-    auto& impl = traversal_scratch().impl();
-    impl.ss.begin(n);
-    impl.ms.begin(n);
-  });
-}
-
-void SsBfsView::export_distances(std::vector<Dist>& out) const {
-  out.resize(dist.size());
-  for (std::size_t v = 0; v < dist.size(); ++v) {
-    out[v] = stamp[v] == epoch ? dist[v] : kUnreachable;
-  }
-}
-
-SsBfsView bfs_hybrid(const Graph& g, Vertex source, Dist max_depth,
-                     TraversalScratch* scratch) {
-  const std::size_t n = g.num_vertices();
-  DCS_REQUIRE(source < n, "BFS source out of range");
-  auto& s = (scratch != nullptr ? *scratch : traversal_scratch()).impl().ss;
-  const std::uint32_t epoch = s.begin(n);
-
-  s.dist[source] = 0;
-  s.stamp[source] = epoch;
-  s.frontier.clear();
-  s.frontier.push_back(source);
-  std::size_t frontier_edges = g.degree(source);
-  // Directed endpoints still incident to unvisited vertices.
-  std::size_t remaining_edges = 2 * g.num_edges() - frontier_edges;
-
-  const std::size_t words = (n + 63) / 64;
-  bool bottom_up = false;
-  std::uint64_t switches = 0;
-  Dist level = 0;
-
-  while (!s.frontier.empty() && level < max_depth) {
-    if (!bottom_up) {
-      if (n >= kMinBottomUpVertices &&
-          frontier_edges > remaining_edges / kBottomUpAlpha) {
-        bottom_up = true;
-        ++switches;
-        // Build the visited bitmap from the stamps once per switch; while
-        // bottom-up it is maintained incrementally.
-        s.visited_bits.assign(words, 0);
-        for (std::size_t v = 0; v < n; ++v) {
-          if (s.stamp[v] == epoch) s.visited_bits[v >> 6] |= 1ull << (v & 63);
-        }
-      }
-    } else if (s.frontier.size() < n / kTopDownBeta) {
-      bottom_up = false;
-    }
-
-    s.next.clear();
-    std::size_t next_edges = 0;
-    if (!bottom_up) {
-      for (Vertex u : s.frontier) {
-        for (Vertex v : g.neighbors(u)) {
-          if (s.stamp[v] != epoch) {
-            s.stamp[v] = epoch;
-            s.dist[v] = level + 1;
-            s.next.push_back(v);
-            next_edges += g.degree(v);
-          }
-        }
-      }
-    } else {
-      // Frontier bitmap for membership tests, rebuilt per level (the
-      // bottom-up regime only triggers on frontiers worth Ω(m/α) edges,
-      // so the O(n/64) clear is noise).
-      s.frontier_bits.assign(words, 0);
-      for (Vertex u : s.frontier) {
-        s.frontier_bits[u >> 6] |= 1ull << (u & 63);
-      }
-      // Per 64-vertex word: extract the unvisited candidates, then scan
-      // each candidate's adjacency with the SIMD membership kernel while
-      // prefetching the adjacency rows a few candidates ahead — the row
-      // starts are data-dependent, so the hardware prefetcher misses them.
-      Vertex cand[64];
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t unvisited = ~s.visited_bits[w];
-        if (w == words - 1 && (n & 63) != 0) {
-          unvisited &= (1ull << (n & 63)) - 1;  // mask tail past n
-        }
-        std::size_t cand_count = 0;
-        while (unvisited != 0) {
-          cand[cand_count++] = static_cast<Vertex>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(unvisited)));
-          unvisited &= unvisited - 1;
-        }
-        for (std::size_t i = 0;
-             i < std::min(cand_count, kBottomUpPrefetchAhead); ++i) {
-          __builtin_prefetch(g.neighbors(cand[i]).data());
-        }
-        for (std::size_t i = 0; i < cand_count; ++i) {
-          if (i + kBottomUpPrefetchAhead < cand_count) {
-            __builtin_prefetch(
-                g.neighbors(cand[i + kBottomUpPrefetchAhead]).data());
-          }
-          const Vertex v = cand[i];
-          const auto nb = g.neighbors(v);
-          if (simd::any_bit_of(nb.data(), nb.size(), s.frontier_bits.data())) {
-            s.stamp[v] = epoch;
-            s.dist[v] = level + 1;
-            s.visited_bits[w] |= 1ull << (v & 63);
-            s.next.push_back(v);
-            next_edges += nb.size();
-          }
-        }
-      }
-    }
-    remaining_edges -= std::min(remaining_edges, next_edges);
-    frontier_edges = next_edges;
-    s.frontier.swap(s.next);
-    ++level;
-  }
-
-  if (switches != 0) bottom_up_counter().inc(switches);
-  return SsBfsView{std::span<const Dist>(s.dist.data(), n),
-                   std::span<const std::uint32_t>(s.stamp.data(), n), epoch};
-}
-
-std::vector<Dist> bfs_distances_hybrid(const Graph& g, Vertex source,
-                                       Dist max_depth) {
-  std::vector<Dist> out;
-  bfs_hybrid(g, source, max_depth).export_distances(out);
-  return out;
 }
 
 MsBfsView multi_source_bfs(const Graph& g, std::span<const Vertex> sources,

@@ -7,34 +7,27 @@
 // edges, the support-reinsertion loop, the supervisor's periodic
 // recertification under churn). The scalar BFS in graph/bfs.hpp pays a
 // fresh O(n) allocation and fill per call and walks one source at a time;
-// this engine removes both costs:
+// multi_source_bfs removes both costs:
 //
-//  * multi_source_bfs advances up to 64 sources per pass using 64-bit
-//    visit/frontier masks (MS-BFS in the style of Then et al.), so one
-//    sweep over the adjacency serves a whole batch of sources;
-//  * bfs_hybrid is a direction-optimizing single-source BFS (Beamer's
-//    top-down/bottom-up switching on frontier density), which skips most
-//    edge examinations on the dense middle levels of expanders;
-//  * both draw from per-thread epoch-stamped scratch arenas, so repeated
+//  * it advances up to 64 sources per pass using 64-bit visit/frontier
+//    masks (MS-BFS in the style of Then et al.), so one sweep over the
+//    adjacency serves a whole batch of sources;
+//  * it draws from a per-thread epoch-stamped scratch arena, so repeated
 //    calls do zero allocation and zero O(n) clearing — a bounded BFS that
 //    touches k vertices costs O(k), not O(n).
 //
-// The hot loops (bottom-up parent search, MS-BFS frontier merge) run on
-// the runtime-dispatched kernels in util/simd.hpp — AVX2 when available,
-// bit-identical scalar otherwise — with software prefetch covering the
-// bottom-up adjacency scans; scratch arrays live in first-touch
-// ArenaBuffers (util/arena.hpp) so each worker's scratch stays on its
-// NUMA node. Pair with Graph::renumber for the cache-order layout.
+// The frontier merge runs on the runtime-dispatched simd::ms_propagate
+// (util/simd.hpp) — AVX2 when available, bit-identical scalar otherwise;
+// scratch arrays live in ArenaBuffers (util/arena.hpp).
 //
 // The scalar implementations in graph/bfs.hpp remain the reference; the
 // equivalence property tests in tests/test_traversal.cpp pin this engine
-// to them bit-for-bit. Obs counters: traversal.bottom_up_switches,
-// traversal.arena_reuse_hits, traversal.ms_batches, traversal.ms_sources.
+// to them bit-for-bit. Obs counters: traversal.arena_reuse_hits,
+// traversal.ms_batches, traversal.ms_sources.
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
@@ -65,31 +58,6 @@ class TraversalScratch {
 /// the lifetime of the thread).
 TraversalScratch& traversal_scratch();
 
-/// Pre-size every ThreadPool worker's thread-local scratch (and the
-/// caller's) for graphs of `n` vertices. Each worker first-touches its
-/// own arena pages, so on NUMA machines the scratch lands on the
-/// worker's local node before the first timed sweep (see util/arena.hpp
-/// and docs/performance.md). Idempotent and cheap when already sized.
-void warm_traversal_scratch(std::size_t n);
-
-/// Borrowed view of one single-source traversal. Entries live in the
-/// scratch arena: the view is valid until the next single-source call on
-/// the same scratch. Untouched vertices read as kUnreachable via the
-/// epoch stamps — no O(n) result array is materialized.
-struct SsBfsView {
-  std::span<const Dist> dist;
-  std::span<const std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-
-  Dist at(Vertex v) const {
-    return stamp[v] == epoch ? dist[v] : kUnreachable;
-  }
-
-  /// Materializes the full distance array (kUnreachable where unvisited)
-  /// into `out`, resizing it; for callers that need the scalar-BFS shape.
-  void export_distances(std::vector<Dist>& out) const;
-};
-
 /// Borrowed view of one multi-source batch. dist is vertex-major
 /// (kMsBfsBatch entries per vertex); validity of entry (i, v) is carried
 /// by bit i of the per-vertex seen mask. Valid until the next
@@ -110,19 +78,6 @@ struct MsBfsView {
                : kUnreachable;
   }
 };
-
-/// Direction-optimizing single-source BFS. Produces distances identical
-/// to bfs_distances_bounded(g, source, max_depth). `scratch` defaults to
-/// the calling thread's arena.
-SsBfsView bfs_hybrid(const Graph& g, Vertex source,
-                     Dist max_depth = kUnreachable,
-                     TraversalScratch* scratch = nullptr);
-
-/// Convenience wrapper materializing the full distance vector (same
-/// output as bfs_distances); still allocation-free internally but pays
-/// the O(n) export.
-std::vector<Dist> bfs_distances_hybrid(const Graph& g, Vertex source,
-                                       Dist max_depth = kUnreachable);
 
 /// Multi-source BFS over up to kMsBfsBatch sources simultaneously, depth
 /// bounded by `max_depth` (same horizon semantics as

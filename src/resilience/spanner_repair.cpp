@@ -201,8 +201,6 @@ RepairResult repair_spanner(const Graph& g_surviving,
       1, static_cast<std::size_t>(std::llround(avg_degree)));
   const RegularSpannerParams params =
       compute_regular_spanner_params(delta, options.build);
-  const double rho =
-      options.resample_rho > 0.0 ? options.resample_rho : params.rho;
 
   std::vector<Edge> patched = h_surviving.edges();
   const std::size_t base_edges = patched.size();
@@ -210,8 +208,9 @@ RepairResult repair_spanner(const Graph& g_surviving,
   if (options.strategy == RepairStrategy::kDetourPatch) {
     DCS_TRACE_SPAN("detour_patch");
     // Step 1 analog: restore router capacity around the damage with the
-    // construction's deterministic coin (salted, so the repair does not
-    // replay the original sample that the faults just destroyed). Only the
+    // construction's deterministic coin at its rate ρ = Δ'/Δ for the
+    // surviving average degree (salted, so the repair does not replay the
+    // original sample that the faults just destroyed). Only the
     // neighborhoods of broken edges draw new capacity.
     std::vector<std::uint8_t> near_broken(g_surviving.num_vertices(), 0);
     for (Edge e : broken) {
@@ -221,7 +220,7 @@ RepairResult repair_spanner(const Graph& g_surviving,
     for (Edge e : candidates) {
       if ((near_broken[e.u] || near_broken[e.v]) &&
           !h_surviving.has_edge(e.u, e.v) &&
-          edge_sampled(e, rho, mix64(options.seed, kResampleSalt))) {
+          edge_sampled(e, params.rho, mix64(options.seed, kResampleSalt))) {
         patched.push_back(e);
         ++result.resampled_edges;
       }

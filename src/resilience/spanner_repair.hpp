@@ -65,10 +65,6 @@ struct SpannerRepairOptions {
   /// Construction parameters mirrored from the original build (support
   /// thresholds, sampling factors); also used by the fallback rebuild.
   RegularSpannerOptions build;
-
-  /// Resampling probability for the detour patch; 0 derives √d̄/d̄ from the
-  /// surviving average degree (the Algorithm 1 choice ρ = Δ'/Δ).
-  double resample_rho = 0.0;
 };
 
 struct RepairResult {

@@ -3,15 +3,12 @@
 // First-touch-aware scratch arenas for the traversal core.
 //
 // On a NUMA machine, Linux places each page of a fresh allocation on the
-// node of the CPU that first writes it. The traversal scratch arrays are
-// thread-local and long-lived, so the policy that keeps repeated BFS
-// sweeps on local memory is simple: every worker allocates its own
-// arenas, and ArenaBuffer touches every page of newly grown capacity
+// node of the CPU that first writes it. The multi-source BFS scratch
+// arrays are thread-local and long-lived, so the policy that keeps
+// repeated sweeps on local memory is simple: every worker allocates its
+// own arenas, and ArenaBuffer touches every page of newly grown capacity
 // from the owning thread at grow time (instead of leaving the first
-// touch to whatever thread happens to write first later). Combined with
-// optional worker pinning (DCS_PIN_THREADS, see util/thread_pool.hpp),
-// this pins each worker's scratch to its own node without a libnuma
-// dependency. See docs/performance.md.
+// touch to whatever thread happens to write first later).
 
 #include <cassert>
 #include <cstddef>

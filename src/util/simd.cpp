@@ -105,15 +105,6 @@ bool rows_meet_scalar(const std::uint64_t* a, const std::uint64_t* b,
   return false;
 }
 
-bool any_bit_of_scalar(const std::uint32_t* vs, std::size_t count,
-                       const std::uint64_t* bits) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t v = vs[i];
-    if ((bits[v >> 6] >> (v & 63)) & 1) return true;
-  }
-  return false;
-}
-
 void ms_propagate_scalar(const std::uint32_t* vs, std::size_t count,
                          std::uint64_t fmask, const std::uint64_t* seen,
                          const std::uint32_t* seen_stamp, std::uint32_t epoch,
@@ -169,14 +160,6 @@ bool rows_meet(const std::uint64_t* a, const std::uint64_t* b,
   if (avx2_active()) return detail::rows_meet_avx2(a, b, words);
 #endif
   return detail::rows_meet_scalar(a, b, words);
-}
-
-bool any_bit_of(const std::uint32_t* vs, std::size_t count,
-                const std::uint64_t* bits) {
-#ifdef DCS_HAVE_AVX2
-  if (avx2_active()) return detail::any_bit_of_avx2(vs, count, bits);
-#endif
-  return detail::any_bit_of_scalar(vs, count, bits);
 }
 
 void ms_propagate(const std::uint32_t* vs, std::size_t count,

@@ -2,13 +2,12 @@
 
 // Runtime-dispatched SIMD kernels for the traversal core.
 //
-// Four hot loops dominate the traversal engine's cycle budget: the
+// Three hot loops dominate the traversal engine's cycle budget: the
 // word-parallel intersection popcount behind the support oracle (counted
 // in full, only up to a threshold, or thresholded over a whole run of
-// rows), the rows-meet test behind every d ≤ 3 answer, the bottom-up
-// parent search of direction-optimizing BFS, and the 64-wide frontier
-// merge of multi-source BFS. Each kernel has exactly one scalar reference
-// implementation here and (when the binary was configured with
+// rows), the rows-meet test behind every d ≤ 3 answer, and the 64-wide
+// frontier merge of multi-source BFS. Each kernel has exactly one scalar
+// reference implementation here and (when the binary was configured with
 // DCS_ENABLE_AVX2) one AVX2 implementation in util/simd_avx2.cpp, compiled
 // as a separately-flagged translation unit so the rest of the binary stays
 // portable.
@@ -86,12 +85,6 @@ void and_popcount_at_least_run(const std::uint64_t* a,
 bool rows_meet(const std::uint64_t* a, const std::uint64_t* b,
                std::size_t words);
 
-/// True iff any of the `count` 32-bit vertex ids in `vs` has its bit set
-/// in the bitset `bits` (bit v lives in bits[v >> 6]). The bottom-up
-/// parent search: "does any neighbor of v sit on the frontier?".
-bool any_bit_of(const std::uint32_t* vs, std::size_t count,
-                const std::uint64_t* bits);
-
 /// The MS-BFS frontier merge: out[i] = fmask & ~seen_at(vs[i]) for
 /// i < count, where seen_at(v) = (seen_stamp[v] == epoch ? seen[v] : 0).
 /// The caller applies the non-zero lanes (next-mask update + frontier
@@ -117,8 +110,6 @@ void and_popcount_at_least_run_scalar(const std::uint64_t* a,
                                       std::size_t k, std::uint64_t* out);
 bool rows_meet_scalar(const std::uint64_t* a, const std::uint64_t* b,
                       std::size_t words);
-bool any_bit_of_scalar(const std::uint32_t* vs, std::size_t count,
-                       const std::uint64_t* bits);
 void ms_propagate_scalar(const std::uint32_t* vs, std::size_t count,
                          std::uint64_t fmask, const std::uint64_t* seen,
                          const std::uint32_t* seen_stamp, std::uint32_t epoch,
@@ -138,8 +129,6 @@ void and_popcount_at_least_run_avx2(const std::uint64_t* a,
                                     std::size_t k, std::uint64_t* out);
 bool rows_meet_avx2(const std::uint64_t* a, const std::uint64_t* b,
                     std::size_t words);
-bool any_bit_of_avx2(const std::uint32_t* vs, std::size_t count,
-                     const std::uint64_t* bits);
 void ms_propagate_avx2(const std::uint32_t* vs, std::size_t count,
                        std::uint64_t fmask, const std::uint64_t* seen,
                        const std::uint32_t* seen_stamp, std::uint32_t epoch,

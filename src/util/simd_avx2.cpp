@@ -178,31 +178,6 @@ bool rows_meet_avx2(const std::uint64_t* a, const std::uint64_t* b,
   return false;
 }
 
-bool any_bit_of_avx2(const std::uint32_t* vs, std::size_t count,
-                     const std::uint64_t* bits) {
-  // View the bitset as 32-bit words (little-endian x86: bit v of the
-  // uint64 view is bit (v & 31) of 32-bit word (v >> 5)) so one
-  // vpgatherdd fetches eight candidate words at once.
-  const int* words32 = reinterpret_cast<const int*>(bits);
-  const __m256i thirty_one = _mm256_set1_epi32(31);
-  const __m256i one = _mm256_set1_epi32(1);
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vs + i));
-    const __m256i widx = _mm256_srli_epi32(v, 5);
-    const __m256i w = _mm256_i32gather_epi32(words32, widx, 4);
-    const __m256i sh = _mm256_and_si256(v, thirty_one);
-    const __m256i hit = _mm256_and_si256(_mm256_srlv_epi32(w, sh), one);
-    if (!_mm256_testz_si256(hit, hit)) return true;
-  }
-  for (; i < count; ++i) {
-    const std::uint32_t v = vs[i];
-    if ((bits[v >> 6] >> (v & 63)) & 1) return true;
-  }
-  return false;
-}
-
 void ms_propagate_avx2(const std::uint32_t* vs, std::size_t count,
                        std::uint64_t fmask, const std::uint64_t* seen,
                        const std::uint32_t* seen_stamp, std::uint32_t epoch,

@@ -1,14 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
 
 namespace dcs {
 
@@ -34,28 +26,6 @@ class RegionGuard {
  private:
   bool previous_;
 };
-
-bool pin_threads_requested() {
-  const char* v = std::getenv("DCS_PIN_THREADS");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-// Pin the calling thread to one CPU, round-robin over the online set.
-// Best-effort: a failed setaffinity (cgroup restrictions, shrunk cpuset)
-// silently leaves the thread unpinned.
-void maybe_pin_current_thread(std::size_t slot) {
-#ifdef __linux__
-  if (!pin_threads_requested()) return;
-  const long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncpu <= 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(slot % static_cast<std::size_t>(ncpu)), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)slot;
-#endif
-}
 
 }  // namespace
 
@@ -87,18 +57,7 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-void ThreadPool::warm(const std::function<void(std::size_t)>& fn) {
-  // Static partitioning of [0, size()) hands each worker exactly one
-  // index, so fn runs once per thread — on that thread.
-  parallel_ranges(0, size(),
-                  [&fn](std::size_t lo, std::size_t hi, std::size_t) {
-                    for (std::size_t i = lo; i < hi; ++i) fn(i);
-                  });
-}
-
 void ThreadPool::worker_loop(std::size_t index) {
-  // Slot 0 is the caller; workers occupy slots 1..n-1.
-  maybe_pin_current_thread(index + 1);
   std::uint64_t seen_generation = 0;
   for (;;) {
     Job job;

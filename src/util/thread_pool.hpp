@@ -2,17 +2,12 @@
 
 // A small fixed-size thread pool with a static-partition parallel_for.
 //
-// The verification loops in this library (batch BFS over every non-spanner
-// edge, congestion accumulation over many paths) are embarrassingly parallel
-// over large index ranges with roughly uniform cost, so static partitioning
-// into one contiguous chunk per worker is the right scheduling policy: no
-// queue contention, no atomics on the hot path, cache-friendly ranges.
-//
-// NUMA: workers allocate their own thread-local scratch (first-touch, see
-// util/arena.hpp), so memory locality follows thread placement. Setting
-// DCS_PIN_THREADS=1 pins each worker to a fixed CPU (round-robin over the
-// online set, Linux only), which keeps a worker — and therefore its
-// first-touched arenas — on one node across repeated sweeps.
+// The verification loops in this library (multi-source BFS batches over
+// every non-spanner edge, congestion accumulation over many paths) are
+// embarrassingly parallel over large index ranges with roughly uniform
+// cost, so static partitioning into one contiguous chunk per worker is the
+// right scheduling policy: no queue contention, no atomics on the hot path,
+// cache-friendly ranges.
 
 #include <condition_variable>
 #include <cstddef>
@@ -48,14 +43,6 @@ class ThreadPool {
   void parallel_ranges(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
-
-  /// Runs fn(worker_index) exactly once on every worker (including the
-  /// calling thread, as index 0). Used to warm per-thread state — e.g.
-  /// first-touching traversal scratch arenas on each worker's NUMA node
-  /// before a timed region. Degrades to serial execution of all indices
-  /// on the caller when invoked from inside a parallel region or while
-  /// another top-level call is running.
-  void warm(const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool& shared();

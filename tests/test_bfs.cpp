@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <mutex>
 #include <set>
 
 #include "graph/bfs.hpp"
@@ -80,19 +78,6 @@ TEST(Bfs, RandomTieBreakingSamplesDifferentPaths) {
   for (const auto& p : seen) {
     EXPECT_EQ(p.size(), 5u);  // all still shortest
   }
-}
-
-TEST(Bfs, BatchBfsVisitsAllSources) {
-  const Graph g = cycle_graph(50);
-  std::vector<Vertex> sources{0, 10, 20, 30};
-  std::mutex m;
-  std::set<Vertex> seen;
-  batch_bfs(g, sources, [&](Vertex s, const std::vector<Dist>& d) {
-    EXPECT_EQ(d[s], 0u);
-    std::lock_guard lock(m);
-    seen.insert(s);
-  });
-  EXPECT_EQ(seen.size(), sources.size());
 }
 
 TEST(Bfs, Eccentricity) {

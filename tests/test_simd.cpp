@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/bfs.hpp"
-#include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "traversal_corpus.hpp"
 #include "util/rng.hpp"
@@ -191,32 +190,6 @@ TEST(Simd, RowsMeetMatchesPerWordReference) {
   }
 }
 
-TEST(Simd, AnyBitOfMatchesScalarTier) {
-  ForceScalarGuard guard;
-  Rng rng(102);
-  constexpr std::size_t kBits = 1024;
-  std::vector<std::uint64_t> bits(kBits / 64);
-  for (int density = 0; density <= 3; ++density) {
-    // density 0: empty bitset (the never-hit path); denser sets exercise
-    // hits at every lane position.
-    std::fill(bits.begin(), bits.end(), 0);
-    const std::size_t set_count = density * 40;
-    for (std::size_t i = 0; i < set_count; ++i) {
-      const std::size_t v = rng.uniform(kBits);
-      bits[v >> 6] |= 1ull << (v & 63);
-    }
-    for (std::size_t count : {0u, 1u, 5u, 8u, 9u, 64u, 301u}) {
-      std::vector<std::uint32_t> vs(std::max<std::size_t>(count, 1));
-      for (auto& v : vs) v = static_cast<std::uint32_t>(rng.uniform(kBits));
-      simd::set_force_scalar(true);
-      const bool scalar = simd::any_bit_of(vs.data(), count, bits.data());
-      simd::set_force_scalar(false);
-      EXPECT_EQ(simd::any_bit_of(vs.data(), count, bits.data()), scalar)
-          << "count=" << count << " density=" << density;
-    }
-  }
-}
-
 TEST(Simd, MsPropagateMatchesScalarTier) {
   ForceScalarGuard guard;
   Rng rng(103);
@@ -280,10 +253,8 @@ TEST(Simd, TraversalEngineIdenticalAcrossTiers) {
   for (const Graph& g : testing::corpus()) {
     if (g.num_vertices() == 0) continue;
     const auto sources = testing::sample_sources(g, rng, kMsBfsBatch);
-    const Vertex s = sources.front();
 
     simd::set_force_scalar(true);
-    const std::vector<Dist> hybrid_scalar = bfs_distances_hybrid(g, s);
     std::vector<std::vector<Dist>> ms_scalar(sources.size());
     {
       const MsBfsView view = multi_source_bfs(g, sources);
@@ -296,8 +267,6 @@ TEST(Simd, TraversalEngineIdenticalAcrossTiers) {
     }
 
     simd::set_force_scalar(false);
-    EXPECT_EQ(bfs_distances_hybrid(g, s), hybrid_scalar)
-        << "n=" << g.num_vertices();
     const MsBfsView view = multi_source_bfs(g, sources);
     for (std::size_t i = 0; i < sources.size(); ++i) {
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -306,14 +275,6 @@ TEST(Simd, TraversalEngineIdenticalAcrossTiers) {
       }
     }
   }
-}
-
-TEST(Simd, WarmTraversalScratchIsIdempotent) {
-  warm_traversal_scratch(1024);
-  warm_traversal_scratch(1024);
-  // Warming must not perturb correctness of subsequent traversals.
-  const Graph g = random_regular(500, 8, 13);
-  EXPECT_EQ(bfs_distances_hybrid(g, 0), bfs_distances(g, 0));
 }
 
 }  // namespace

@@ -8,13 +8,14 @@
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "obs/metrics.hpp"
 #include "traversal_corpus.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
 // Equivalence property tests pinning the batched traversal engine
-// (multi-source BFS, direction-optimizing BFS) and the bitmap support
-// oracle to the scalar reference implementations, over the shared corpus
+// (multi-source BFS) and the bitmap support oracle to the scalar
+// reference implementations, over the shared corpus
 // (traversal_corpus.hpp) of seeded random / regular / expander graphs
 // plus disconnected and star-shaped corner cases.
 
@@ -28,32 +29,6 @@ using dcs::testing::star_graph;
 
 TEST(Traversal, CorpusHasFiftyGraphs) {
   EXPECT_GE(corpus().size(), 50u);
-}
-
-TEST(Traversal, HybridBfsMatchesScalarOnCorpus) {
-  Rng rng(7);
-  for (const Graph& g : corpus()) {
-    for (Vertex s : sample_sources(g, rng, 6)) {
-      const auto reference = bfs_distances(g, s);
-      const auto hybrid = bfs_distances_hybrid(g, s);
-      EXPECT_EQ(hybrid, reference)
-          << "n=" << g.num_vertices() << " m=" << g.num_edges()
-          << " source=" << s;
-    }
-  }
-}
-
-TEST(Traversal, HybridBfsMatchesScalarBounded) {
-  Rng rng(8);
-  for (const Graph& g : corpus()) {
-    for (Vertex s : sample_sources(g, rng, 3)) {
-      for (Dist cap : {Dist{0}, Dist{1}, Dist{2}, Dist{5}}) {
-        EXPECT_EQ(bfs_distances_hybrid(g, s, cap),
-                  bfs_distances_bounded(g, s, cap))
-            << "n=" << g.num_vertices() << " cap=" << cap;
-      }
-    }
-  }
 }
 
 TEST(Traversal, MultiSourceMatchesScalarOnCorpus) {
@@ -99,21 +74,37 @@ TEST(Traversal, MultiSourceDuplicateSourcesResolveIdentically) {
 }
 
 TEST(Traversal, ArenaReuseAcrossMixedCallsStaysCorrect) {
-  // Interleave graphs of different sizes and call kinds on one thread so
-  // the epoch-stamped arena is resized, reused, and re-stamped; stale
-  // state from any earlier call must never leak into a later result.
+  // Alternate two graph sizes and depth bounds on one scratch so its
+  // epoch-stamped arena is resized, reused, and re-stamped; stale state
+  // from any earlier call must never leak into a later result.
   const Graph small = cycle_graph(10);
   const Graph big = random_regular(500, 8, 3);
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_EQ(bfs_distances_hybrid(big, 0), bfs_distances(big, 0));
-    EXPECT_EQ(bfs_distances_hybrid(small, 1), bfs_distances(small, 1));
-    const std::vector<Vertex> sources{0, 5, 9};
-    const MsBfsView view = multi_source_bfs(small, sources, 2);
-    const auto ref = bfs_distances_bounded(small, 5, 2);
-    for (Vertex v = 0; v < small.num_vertices(); ++v) {
-      EXPECT_EQ(view.at(1, v), ref[v]);
+  TraversalScratch scratch;
+  obs::set_metrics_enabled(true);
+  auto& reuse_hits =
+      obs::MetricsRegistry::instance().counter("traversal.arena_reuse_hits");
+  const std::uint64_t hits_before = reuse_hits.value();
+  const auto check = [&](const Graph& g, const std::vector<Vertex>& sources,
+                         Dist cap) {
+    const MsBfsView view = multi_source_bfs(g, sources, cap, &scratch);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const auto ref = bfs_distances_bounded(g, sources[i], cap);
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(view.at(i, v), ref[v])
+            << "n=" << g.num_vertices() << " source=" << sources[i]
+            << " cap=" << cap << " v=" << v;
+      }
     }
+  };
+  for (int round = 0; round < 3; ++round) {
+    check(big, {0, 17, 499}, kUnreachable);  // resize
+    check(big, {3, 250}, 2);                  // reuse, re-stamp
+    check(small, {0, 5, 9}, 2);               // resize
+    check(small, {1, 4}, kUnreachable);       // reuse, re-stamp
   }
+  // Every size change resizes; every repeat of the previous size reuses.
+  EXPECT_EQ(reuse_hits.value() - hits_before, 6u);
+  obs::set_metrics_enabled(false);
 }
 
 TEST(Traversal, MultiSourceEmptyAndOutOfRange) {
@@ -124,7 +115,6 @@ TEST(Traversal, MultiSourceEmptyAndOutOfRange) {
   EXPECT_THROW(multi_source_bfs(g, bad), std::invalid_argument);
   const std::vector<Vertex> too_many(kMsBfsBatch + 1, 0);
   EXPECT_THROW(multi_source_bfs(g, too_many), std::invalid_argument);
-  EXPECT_THROW(bfs_distances_hybrid(g, 11), std::invalid_argument);
 }
 
 TEST(AdjacencyBitmap, MatchesScalarSupportOnCorpus) {

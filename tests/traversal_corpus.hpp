@@ -3,9 +3,9 @@
 // The shared ~58-graph traversal test corpus: varied families, sizes,
 // densities, and seeds, plus structured corner cases (stars, disconnected
 // graphs, paths, cycles, hypercubes, cliques, the edgeless graph). Used
-// by test_traversal (engine-vs-scalar equivalence), test_renumber
-// (end-to-end isomorphism under relabeling), and test_simd (kernel-tier
-// equivalence). Header-only so each test binary gets its own copy.
+// by test_traversal (engine-vs-scalar equivalence) and test_simd
+// (kernel-tier equivalence). Header-only so each test binary gets its own
+// copy.
 
 #include <vector>
 
